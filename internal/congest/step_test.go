@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,9 +96,10 @@ func (l *leaderStep) Step(api *StepAPI, inbox []Inbound) Status {
 	return Running()
 }
 
-// TestStepEngineEquivalence proves both execution models produce
-// byte-identical Results for logically identical programs across several
-// graph families (issue acceptance criterion).
+// TestStepEngineEquivalence pins flood BFS and max-id leader election,
+// across several graph families, seeds, and worker counts, to the
+// digests in testdata/step_engine.golden (captured from the blocking
+// execution model; DESIGN.md §2).
 func TestStepEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -108,64 +110,56 @@ func TestStepEngineEquivalence(t *testing.T) {
 		{"star", graph.Star(12)},
 		{"path", graph.Path(17)},
 	}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for seed := int64(0); seed < 3; seed++ {
-			const deadline = 300
-			bDist := make([]int, fam.g.N())
-			bRes, bErr := Run(Config{Graph: fam.g, Seed: seed}, floodBlocking(deadline, bDist))
-			sDist := make([]int, fam.g.N())
-			sRes, sErr := RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
-				return &floodStep{deadline: deadline, dist: sDist}
-			})
-			if bErr != nil || sErr != nil {
-				t.Fatalf("%s/seed%d: errs %v %v", fam.name, seed, bErr, sErr)
-			}
-			if !reflect.DeepEqual(bRes, sRes) {
-				t.Fatalf("%s/seed%d flood: result mismatch:\nblocking: %+v\nstep:     %+v",
-					fam.name, seed, bRes, sRes)
-			}
-			if !reflect.DeepEqual(bDist, sDist) {
-				t.Fatalf("%s/seed%d flood: distances differ", fam.name, seed)
-			}
+			for _, w := range []int{1, 2} {
+				cfg := Config{Graph: fam.g, Seed: seed, Workers: w}
+				key := fmt.Sprintf("%s/seed%d/w%d", fam.name, seed, w)
+				const deadline = 300
+				bDist := make([]int, fam.g.N())
+				bRes, bErr := Run(cfg, floodBlocking(deadline, bDist))
+				bLines = append(bLines, goldenLine(key+"/flood", bRes, bErr, bDist))
+				sDist := make([]int, fam.g.N())
+				sRes, sErr := RunStep(cfg, func(int) StepProgram {
+					return &floodStep{deadline: deadline, dist: sDist}
+				})
+				sLines = append(sLines, goldenLine(key+"/flood", sRes, sErr, sDist))
 
-			rounds := fam.g.N()
-			bOut := make([]int64, fam.g.N())
-			bRes, bErr = Run(Config{Graph: fam.g, Seed: seed}, func(api *API) {
-				best := api.ID()
-				for r := 0; r < rounds; r++ {
-					api.SendAll(intMsg{best})
-					for _, in := range api.NextRound() {
-						if m := in.Msg.(intMsg); m.v > best {
-							best = m.v
+				rounds := fam.g.N()
+				bOut := make([]int64, fam.g.N())
+				bRes, bErr = Run(cfg, func(api *API) {
+					best := api.ID()
+					for r := 0; r < rounds; r++ {
+						api.SendAll(intMsg{best})
+						for _, in := range api.NextRound() {
+							if m := in.Msg.(intMsg); m.v > best {
+								best = m.v
+							}
 						}
 					}
-				}
-				bOut[api.Index()] = best
-			})
-			sOut := make([]int64, fam.g.N())
-			sRes, sErr = RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
-				return &leaderStep{rounds: rounds, out: sOut}
-			})
-			if bErr != nil || sErr != nil {
-				t.Fatalf("%s/seed%d: errs %v %v", fam.name, seed, bErr, sErr)
-			}
-			if !reflect.DeepEqual(bRes, sRes) {
-				t.Fatalf("%s/seed%d leader: result mismatch:\nblocking: %+v\nstep:     %+v",
-					fam.name, seed, bRes, sRes)
-			}
-			if !reflect.DeepEqual(bOut, sOut) {
-				t.Fatalf("%s/seed%d leader: winners differ", fam.name, seed)
+					bOut[api.Index()] = best
+				})
+				bLines = append(bLines, goldenLine(key+"/leader", bRes, bErr, bOut))
+				sOut := make([]int64, fam.g.N())
+				sRes, sErr = RunStep(cfg, func(int) StepProgram {
+					return &leaderStep{rounds: rounds, out: sOut}
+				})
+				sLines = append(sLines, goldenLine(key+"/leader", sRes, sErr, sOut))
 			}
 		}
 	}
+	checkGolden(t, "step_engine.golden", bLines)
+	checkGolden(t, "step_engine.golden", sLines)
 }
 
-// treeOpsStep exercises the step-native tree primitives (convergecast then
-// pipelined convergecast) against their blocking counterparts.
+// TestTreeStepOpsEquivalence pins the step-native tree primitives
+// (convergecast then pipelined convergecast) to the digests in
+// testdata/tree_ops.golden, captured from the blocking Tree methods.
 func TestTreeStepOpsEquivalence(t *testing.T) {
 	const n = 9
 	g := graph.Path(n)
-	run := func(step bool) (*Result, int64, []int64) {
+	run := func(step bool, w int) string {
 		var rootSum int64
 		var collected []int64
 		blocking := func(api *API) {
@@ -190,28 +184,25 @@ func TestTreeStepOpsEquivalence(t *testing.T) {
 				}
 			}
 		}
+		cfg := Config{Graph: g, Seed: 7, Workers: w}
 		var res *Result
 		var err error
 		if !step {
-			res, err = Run(Config{Graph: g, Seed: 7}, blocking)
+			res, err = Run(cfg, blocking)
 		} else {
-			res, err = RunStep(Config{Graph: g, Seed: 7}, func(int) StepProgram {
+			res, err = RunStep(cfg, func(int) StepProgram {
 				return &treeOpsProg{n: n, rootSum: &rootSum, collected: &collected}
 			})
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rootSum, collected
+		return goldenLine(fmt.Sprintf("path%d/seed7/w%d", n, w), res, err, rootSum, collected)
 	}
-	bRes, bSum, bCol := run(false)
-	sRes, sSum, sCol := run(true)
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("tree ops: result mismatch:\nblocking: %+v\nstep:     %+v", bRes, sRes)
+	var bLines, sLines []string
+	for _, w := range []int{1, 2} {
+		bLines = append(bLines, run(false, w))
+		sLines = append(sLines, run(true, w))
 	}
-	if bSum != sSum || !reflect.DeepEqual(bCol, sCol) {
-		t.Fatalf("tree ops: outputs differ: %d/%v vs %d/%v", bSum, bCol, sSum, sCol)
-	}
+	checkGolden(t, "tree_ops.golden", bLines)
+	checkGolden(t, "tree_ops.golden", sLines)
 }
 
 func sumCombine(own Message, children []Message) Message {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/graph"
 )
 
-// runStageI is CollectStageIStep with worker-count and checkpoint control,
+// runStageI is CollectStageI with worker-count and checkpoint control,
 // optionally collecting the concrete interpreter nodes so the batching
 // tests can observe fast-forward state at checkpoint barriers.
 func runStageI(g *graph.Graph, opts Options, seed int64, workers int,
@@ -229,4 +229,16 @@ func TestStageIBatchingEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+func equalPorts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

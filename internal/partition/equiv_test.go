@@ -1,19 +1,24 @@
 package partition
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
-// TestStageIEngineEquivalence proves that the native StepProgram port of
-// Stage I (both variants) and the blocking implementation produce
-// byte-identical Results (verdicts, rounds, messages, bits) and identical
-// per-node outcomes for fixed seeds across several graph families (issue
-// acceptance criterion).
+// TestStageIEngineEquivalence pins Stage I (both variants, both
+// schedules) across several graph families, seeds, and worker counts to
+// the digests in testdata/stage1.golden, captured from the blocking
+// execution model (DESIGN.md §2): the run error, every Metrics field,
+// and the per-node verdicts and outcomes.
 func TestStageIEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	farG, _ := graph.PlanarPlusRandomEdges(60, 40, rng)
@@ -29,55 +34,29 @@ func TestStageIEngineEquivalence(t *testing.T) {
 	}
 	schedules := []Schedule{PaperSchedule, PracticalSchedule}
 	variants := []Variant{Deterministic, Randomized}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for _, sched := range schedules {
 			for _, variant := range variants {
 				for seed := int64(0); seed < 3; seed++ {
-					opts := Options{Epsilon: 0.25, Schedule: sched, Variant: variant}
-					name := fmt.Sprintf("%s/%v/variant%d/seed%d", fam.name, sched, variant, seed)
-					bOuts, bIDs, bRes, bErr := CollectStageIBlocking(fam.g, opts, seed)
-					sOuts, sIDs, sRes, sErr := CollectStageIStep(fam.g, opts, seed)
-					if (bErr == nil) != (sErr == nil) {
-						t.Fatalf("%s: err mismatch: blocking=%v step=%v", name, bErr, sErr)
-					}
-					if bErr != nil {
-						continue
-					}
-					if !reflect.DeepEqual(bIDs, sIDs) {
-						t.Fatalf("%s: id assignment mismatch", name)
-					}
-					if !reflect.DeepEqual(bRes.Metrics, sRes.Metrics) {
-						t.Fatalf("%s: metrics mismatch:\nblocking: %+v\nstep:     %+v",
-							name, bRes.Metrics, sRes.Metrics)
-					}
-					if !reflect.DeepEqual(bRes.Verdicts, sRes.Verdicts) {
-						t.Fatalf("%s: verdicts mismatch", name)
-					}
-					for v := range bOuts {
-						bo, so := bOuts[v], sOuts[v]
-						if (bo == nil) != (so == nil) {
-							t.Fatalf("%s: node %d outcome presence mismatch", name, v)
-						}
-						if bo == nil {
-							continue
-						}
-						if bo.RootID != so.RootID || bo.Rejected != so.Rejected ||
-							bo.PhasesRun != so.PhasesRun || bo.EarlyExit != so.EarlyExit ||
-							bo.Tree.ParentPort != so.Tree.ParentPort ||
-							!equalPorts(bo.Tree.ChildPorts, so.Tree.ChildPorts) {
-							t.Fatalf("%s: node %d outcome mismatch:\nblocking: %+v\nstep:     %+v",
-								name, v, bo, so)
-						}
+					for _, w := range []int{1, 2} {
+						opts := Options{Epsilon: 0.25, Schedule: sched, Variant: variant}
+						key := fmt.Sprintf("%s/%v/variant%d/seed%d/w%d", fam.name, sched, variant, seed, w)
+						outs, res, err := blockingStageI(fam.g, opts, seed, w)
+						bLines = append(bLines, goldenLine(key, res, err, outs))
+						outs, _, res, err = runStageI(fam.g, opts, seed, w, congest.CheckpointConfig{}, nil)
+						sLines = append(sLines, goldenLine(key, res, err, outs))
 					}
 				}
 			}
 		}
 	}
+	checkGolden(t, "stage1.golden", bLines)
+	checkGolden(t, "stage1.golden", sLines)
 }
 
-// TestENEngineEquivalence proves the same for the Elkin–Neiman baseline:
-// the step-native state machine and the blocking loop produce
-// byte-identical Results and identical per-node cluster outcomes.
+// TestENEngineEquivalence does the same for the Elkin–Neiman baseline
+// (testdata/en.golden).
 func TestENEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -88,52 +67,104 @@ func TestENEngineEquivalence(t *testing.T) {
 		{"tree-plus-edges", graph.TreePlusRandomEdges(60, 15, rand.New(rand.NewSource(3)))},
 		{"star", graph.Star(21)},
 	}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for _, eps := range []float64{0.25, 0.5} {
 			for seed := int64(0); seed < 3; seed++ {
-				name := fmt.Sprintf("%s/eps%v/seed%d", fam.name, eps, seed)
-				bOuts, bIDs, bRes, bErr := CollectENBlocking(fam.g, eps, seed)
-				sOuts, sIDs, sRes, sErr := CollectENStep(fam.g, eps, seed)
-				if (bErr == nil) != (sErr == nil) {
-					t.Fatalf("%s: err mismatch: blocking=%v step=%v", name, bErr, sErr)
-				}
-				if bErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(bIDs, sIDs) {
-					t.Fatalf("%s: id assignment mismatch", name)
-				}
-				if !reflect.DeepEqual(bRes.Metrics, sRes.Metrics) {
-					t.Fatalf("%s: metrics mismatch:\nblocking: %+v\nstep:     %+v",
-						name, bRes.Metrics, sRes.Metrics)
-				}
-				if !reflect.DeepEqual(bRes.Verdicts, sRes.Verdicts) {
-					t.Fatalf("%s: verdicts mismatch", name)
-				}
-				for v := range bOuts {
-					bo, so := bOuts[v], sOuts[v]
-					if bo.RootID != so.RootID ||
-						bo.Tree.ParentPort != so.Tree.ParentPort ||
-						!equalPorts(bo.Tree.ChildPorts, so.Tree.ChildPorts) {
-						t.Fatalf("%s: node %d outcome mismatch:\nblocking: %+v\nstep:     %+v",
-							name, v, bo, so)
-					}
+				for _, w := range []int{1, 2} {
+					key := fmt.Sprintf("%s/eps%v/seed%d/w%d", fam.name, eps, seed, w)
+					outs, res, err := blockingEN(fam.g, eps, seed, w)
+					bLines = append(bLines, goldenLine(key, res, err, outs))
+					outs, res, err = runEN(fam.g, eps, seed, w)
+					sLines = append(sLines, goldenLine(key, res, err, outs))
 				}
 			}
 		}
 	}
+	checkGolden(t, "en.golden", bLines)
+	checkGolden(t, "en.golden", sLines)
 }
 
-func equalPorts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// blockingStageI runs Stage I on the blocking execution model.
+func blockingStageI(g *graph.Graph, opts Options, seed int64, workers int) ([]*Outcome, *congest.Result, error) {
+	outs := make([]*Outcome, g.N())
+	res, err := congest.Run(congest.Config{
+		Graph:        g,
+		Seed:         seed,
+		IDs:          permIDs(g.N(), seed),
+		StopOnReject: true,
+		MaxRounds:    1 << 40,
+		Workers:      workers,
+	}, func(api *congest.API) {
+		outs[api.Index()] = RunStageI(api, opts)
+	})
+	return outs, res, err
+}
+
+// blockingEN runs the baseline on the blocking execution model.
+func blockingEN(g *graph.Graph, eps float64, seed int64, workers int) ([]*Outcome, *congest.Result, error) {
+	outs := make([]*Outcome, g.N())
+	cfg := congest.Config{Graph: g, Seed: seed, IDs: permIDs(g.N(), seed), Workers: workers}
+	res, err := congest.Run(cfg, func(api *congest.API) {
+		outs[api.Index()] = RunElkinNeiman(api, eps)
+	})
+	return outs, res, err
+}
+
+// runEN is CollectEN with an explicit engine worker count.
+func runEN(g *graph.Graph, eps float64, seed int64, workers int) ([]*Outcome, *congest.Result, error) {
+	outs := make([]*Outcome, g.N())
+	cfg := congest.Config{Graph: g, Seed: seed, IDs: permIDs(g.N(), seed), Workers: workers}
+	res, err := congest.RunStep(cfg, func(node int) congest.StepProgram {
+		return NewENNode(eps, func(api *congest.StepAPI, out *Outcome) congest.Status {
+			outs[api.Index()] = out
+			return congest.Done()
+		})
+	})
+	return outs, res, err
+}
+
+// goldenLine formats one case: the run error, every Metrics field, and
+// SHA-256 digests of the per-node verdicts and outcomes. A failed run
+// pins only its error.
+func goldenLine(key string, res *congest.Result, err error, outs []*Outcome) string {
+	if err != nil {
+		return fmt.Sprintf("%s err=%q", key, err.Error())
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var b strings.Builder
+	for _, o := range outs {
+		if o == nil {
+			b.WriteString("nil\n")
+		} else {
+			fmt.Fprintf(&b, "%+v\n", *o)
 		}
 	}
-	return true
+	return fmt.Sprintf("%s err=\"\" metrics=%+v verdicts=%s outcomes=%s",
+		key, res.Metrics, sha(fmt.Sprint(res.Verdicts)), sha(b.String()))
+}
+
+func sha(s string) string {
+	h := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(h[:])
+}
+
+// checkGolden compares the case lines against testdata/<file>.
+func checkGolden(t *testing.T, file string, lines []string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s: %d cases, golden file has %d lines", path, len(lines), len(want))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Fatalf("%s:%d mismatch:\n got: %s\nwant: %s", path, i+1, lines[i], want[i])
+		}
+	}
 }
 
 // TestStageIStepValidates runs the native Stage I on a larger grid and

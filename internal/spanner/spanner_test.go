@@ -1,19 +1,25 @@
 package spanner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// TestSpannerEngineEquivalence proves that the native step path of the
-// spanner construction and the blocking path produce byte-identical
-// Metrics, views, and spanner subgraphs for fixed seeds across ≥3 graph
-// families and both Stage I variants (issue acceptance criterion).
+// TestSpannerEngineEquivalence pins the spanner construction across
+// several graph families, both Stage I variants, seeds, and worker
+// counts to testdata/spanner.golden, captured from the blocking
+// execution model (DESIGN.md §2): the run error, every Metrics field,
+// and digests of the per-node views and of the spanner subgraph.
 func TestSpannerEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	families := []struct {
@@ -26,30 +32,61 @@ func TestSpannerEngineEquivalence(t *testing.T) {
 		{"tree", graph.RandomTree(40, rng)},
 	}
 	variants := []partition.Variant{partition.Deterministic, partition.Randomized}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for _, variant := range variants {
 			for seed := int64(0); seed < 2; seed++ {
-				name := fmt.Sprintf("%s/variant%d/seed%d", fam.name, variant, seed)
-				opts := Options{Epsilon: 0.3, Partition: partition.Options{
-					Epsilon: 0.3, Variant: variant, Schedule: partition.PracticalSchedule}}
-				nsp, nviews, nm, nErr := CollectStep(fam.g, opts, seed)
-				bsp, bviews, bm, bErr := CollectBlocking(fam.g, opts, seed)
-				if (nErr == nil) != (bErr == nil) {
-					t.Fatalf("%s: err mismatch: native=%v blocking=%v", name, nErr, bErr)
-				}
-				if nErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(nm, bm) {
-					t.Fatalf("%s: metrics mismatch:\nnative:   %+v\nblocking: %+v", name, nm, bm)
-				}
-				if !reflect.DeepEqual(nviews, bviews) {
-					t.Fatalf("%s: views mismatch", name)
-				}
-				if !reflect.DeepEqual(nsp.Edges(), bsp.Edges()) {
-					t.Fatalf("%s: spanner subgraph mismatch", name)
+				for _, w := range []int{1, 2} {
+					key := fmt.Sprintf("%s/variant%d/seed%d/w%d", fam.name, variant, seed, w)
+					opts := Options{Epsilon: 0.3, Workers: w, Partition: partition.Options{
+						Epsilon: 0.3, Variant: variant, Schedule: partition.PracticalSchedule}}
+					bsp, bviews, bm, bErr := CollectBlocking(fam.g, opts, seed)
+					bLines = append(bLines, goldenLine(key, bsp, bviews, bm, bErr))
+					nsp, nviews, nm, nErr := Collect(fam.g, opts, seed)
+					sLines = append(sLines, goldenLine(key, nsp, nviews, nm, nErr))
 				}
 			}
+		}
+	}
+	checkGolden(t, "spanner.golden", bLines)
+	checkGolden(t, "spanner.golden", sLines)
+}
+
+// goldenLine formats one case: the run error, every Metrics field, and
+// SHA-256 digests of the per-node views and of the spanner's edge list.
+// A failed run pins only its error.
+func goldenLine(key string, sp *graph.Graph, views []*NodeSpanner, m congest.Metrics, err error) string {
+	if err != nil {
+		return fmt.Sprintf("%s err=%q", key, err.Error())
+	}
+	var b strings.Builder
+	for _, v := range views {
+		fmt.Fprintf(&b, "%+v\n", *v)
+	}
+	return fmt.Sprintf("%s err=\"\" metrics=%+v views=%s edges=%s",
+		key, m, sha(b.String()), sha(fmt.Sprint(sp.Edges())))
+}
+
+func sha(s string) string {
+	h := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(h[:])
+}
+
+// checkGolden compares the case lines against testdata/<file>.
+func checkGolden(t *testing.T, file string, lines []string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s: %d cases, golden file has %d lines", path, len(lines), len(want))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Fatalf("%s:%d mismatch:\n got: %s\nwant: %s", path, i+1, lines[i], want[i])
 		}
 	}
 }

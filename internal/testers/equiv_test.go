@@ -3,19 +3,22 @@ package testers
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/planar"
 )
 
-// TestMinorFreeEngineEquivalence proves that the native step path of the
-// minor-free property testers and the blocking path produce byte-identical
-// RunResults for fixed seeds, across ≥3 graph families (accepting and
-// rejecting), both properties, and both Stage I variants (issue acceptance
-// criterion).
+// TestMinorFreeEngineEquivalence pins the minor-free property testers —
+// both properties, both Stage I variants, accepting and rejecting
+// families — across seeds and worker counts to testdata/minorfree.golden,
+// captured from the blocking execution model (DESIGN.md §2): the run
+// error, the verdict summary, and every Metrics field.
 func TestMinorFreeEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -27,33 +30,31 @@ func TestMinorFreeEngineEquivalence(t *testing.T) {
 		{"odd-chords", graph.GridWithOddChords(6, 6, 5, rand.New(rand.NewSource(3)))},       // rejects bipartiteness
 	}
 	variants := []partition.Variant{partition.Deterministic, partition.Randomized}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for _, prop := range []Property{CycleFreeness, Bipartiteness} {
 			for _, variant := range variants {
 				for seed := int64(0); seed < 2; seed++ {
-					name := fmt.Sprintf("%s/%v/variant%d/seed%d", fam.name, prop, variant, seed)
-					opts := Options{Epsilon: 0.2, Partition: partition.Options{
-						Epsilon: 0.2, Variant: variant, Schedule: partition.PracticalSchedule}}
-					nr, nErr := Run(fam.g, prop, opts, seed)
-					br, bErr := RunBlocking(fam.g, prop, opts, seed)
-					if (nErr == nil) != (bErr == nil) {
-						t.Fatalf("%s: err mismatch: native=%v blocking=%v", name, nErr, bErr)
-					}
-					if nErr != nil {
-						continue
-					}
-					if !reflect.DeepEqual(nr, br) {
-						t.Fatalf("%s: result mismatch:\nnative:   %+v\nblocking: %+v", name, nr, br)
+					for _, w := range []int{1, 2} {
+						key := fmt.Sprintf("%s/%v/variant%d/seed%d/w%d", fam.name, prop, variant, seed, w)
+						opts := Options{Epsilon: 0.2, Workers: w, Partition: partition.Options{
+							Epsilon: 0.2, Variant: variant, Schedule: partition.PracticalSchedule}}
+						br, bErr := RunBlocking(fam.g, prop, opts, seed)
+						bLines = append(bLines, goldenLine(key, br, bErr))
+						nr, nErr := Run(fam.g, prop, opts, seed)
+						sLines = append(sLines, goldenLine(key, nr, nErr))
 					}
 				}
 			}
 		}
 	}
+	checkGolden(t, "minorfree.golden", bLines)
+	checkGolden(t, "minorfree.golden", sLines)
 }
 
-// TestHereditaryEngineEquivalence proves the same for the generic
-// hereditary-property tester (outerplanarity as the predicate), including
-// a rejecting family.
+// TestHereditaryEngineEquivalence does the same for the generic
+// hereditary-property tester (outerplanarity as the predicate),
+// including a rejecting family (testdata/hereditary.golden).
 func TestHereditaryEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -63,22 +64,49 @@ func TestHereditaryEngineEquivalence(t *testing.T) {
 		{"cycle", graph.Cycle(25)}, // accepts
 		{"grid", graph.Grid(6, 6)}, // rejects (not outerplanar)
 	}
+	var bLines, sLines []string
 	for _, fam := range families {
 		for seed := int64(0); seed < 2; seed++ {
-			name := fmt.Sprintf("%s/seed%d", fam.name, seed)
-			opts := Options{Epsilon: 0.25, Partition: partition.Options{
-				Epsilon: 0.25, Schedule: partition.PracticalSchedule}}
-			nr, nErr := RunHereditary(fam.g, planar.IsOuterplanar, opts, seed)
-			br, bErr := RunHereditaryBlocking(fam.g, planar.IsOuterplanar, opts, seed)
-			if (nErr == nil) != (bErr == nil) {
-				t.Fatalf("%s: err mismatch: native=%v blocking=%v", name, nErr, bErr)
+			for _, w := range []int{1, 2} {
+				key := fmt.Sprintf("%s/seed%d/w%d", fam.name, seed, w)
+				opts := Options{Epsilon: 0.25, Workers: w, Partition: partition.Options{
+					Epsilon: 0.25, Schedule: partition.PracticalSchedule}}
+				br, bErr := RunHereditaryBlocking(fam.g, planar.IsOuterplanar, opts, seed)
+				bLines = append(bLines, goldenLine(key, br, bErr))
+				nr, nErr := RunHereditary(fam.g, planar.IsOuterplanar, opts, seed)
+				sLines = append(sLines, goldenLine(key, nr, nErr))
 			}
-			if nErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(nr, br) {
-				t.Fatalf("%s: result mismatch:\nnative:   %+v\nblocking: %+v", name, nr, br)
-			}
+		}
+	}
+	checkGolden(t, "hereditary.golden", bLines)
+	checkGolden(t, "hereditary.golden", sLines)
+}
+
+// goldenLine formats one case: the run error, or the verdict summary
+// and every Metrics field (Phases stays nil without a probe).
+func goldenLine(key string, r *core.RunResult, err error) string {
+	if err != nil {
+		return fmt.Sprintf("%s err=%q", key, err.Error())
+	}
+	return fmt.Sprintf("%s err=\"\" rejected=%v rejectedBy=%d metrics=%+v phases=%v",
+		key, r.Rejected, r.RejectedBy, r.Metrics, r.Phases != nil)
+}
+
+// checkGolden compares the case lines against testdata/<file>.
+func checkGolden(t *testing.T, file string, lines []string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s: %d cases, golden file has %d lines", path, len(lines), len(want))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Fatalf("%s:%d mismatch:\n got: %s\nwant: %s", path, i+1, lines[i], want[i])
 		}
 	}
 }
