@@ -19,29 +19,40 @@ type hugeMsg struct{}
 
 func (hugeMsg) Bits() int { return 1 << 20 }
 
+// chatter returns a program that sends msg(r) on every port for rounds
+// r = 0..rounds-1, then outputs VerdictAccept and terminates. Received
+// messages are ignored.
+func chatter(rounds int, msg func(r int) Message) func(int) StepProgram {
+	return func(int) StepProgram {
+		r := 0
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+			if r == rounds {
+				api.Output(VerdictAccept)
+				return Done()
+			}
+			api.SendAll(msg(r))
+			r++
+			return Running()
+		})
+	}
+}
+
+// once returns a program that runs f at round 0 and terminates.
+func once(f func(api *StepAPI)) func(int) StepProgram {
+	return func(int) StepProgram {
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+			f(api)
+			return Done()
+		})
+	}
+}
+
 func TestFloodBFSOnGrid(t *testing.T) {
 	g := graph.Grid(8, 11)
 	want := g.BFS(0)
 	dist := make([]int, g.N())
-	res, err := Run(Config{Graph: g, Seed: 1}, func(api *API) {
-		const deadline = 1000
-		d := -1
-		if api.Index() == 0 {
-			d = 0
-			api.SendAll(intMsg{0})
-			api.Idle(deadline - api.Round())
-		} else {
-			for d == -1 && api.Round() < deadline {
-				for _, in := range api.SleepUntil(deadline) {
-					if m, ok := in.Msg.(intMsg); ok && d == -1 {
-						d = int(m.v) + 1
-						api.SendAll(intMsg{int64(d)})
-					}
-				}
-			}
-			api.Idle(deadline - api.Round())
-		}
-		dist[api.Index()] = d
+	res, err := RunStep(Config{Graph: g, Seed: 1}, func(int) StepProgram {
+		return &floodStep{deadline: 1000, dist: dist}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,17 +74,8 @@ func TestFloodBFSOnGrid(t *testing.T) {
 func TestLeaderElectionMaxID(t *testing.T) {
 	g := graph.Cycle(17)
 	leaders := make([]int64, g.N())
-	_, err := Run(Config{Graph: g, Seed: 2}, func(api *API) {
-		best := api.ID()
-		for r := 0; r < g.N(); r++ {
-			api.SendAll(intMsg{best})
-			for _, in := range api.NextRound() {
-				if m := in.Msg.(intMsg); m.v > best {
-					best = m.v
-				}
-			}
-		}
-		leaders[api.Index()] = best
+	_, err := RunStep(Config{Graph: g, Seed: 2}, func(int) StepProgram {
+		return &leaderStep{rounds: g.N(), out: leaders}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,28 +93,14 @@ func TestLeaderElectionMaxID(t *testing.T) {
 	}
 }
 
-func TestBitBoundViolation(t *testing.T) {
-	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 3}, func(api *API) {
-		if api.Index() == 0 {
-			api.Send(0, hugeMsg{})
-		}
-		api.NextRound()
-	})
-	if err == nil || !strings.Contains(err.Error(), "bound") {
-		t.Fatalf("want bit bound error, got %v", err)
-	}
-}
-
 func TestDoubleSendPanics(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 4}, func(api *API) {
+	_, err := RunStep(Config{Graph: g, Seed: 4}, once(func(api *StepAPI) {
 		if api.Index() == 0 {
 			api.Send(0, intMsg{1})
 			api.Send(0, intMsg{2}) // model violation
 		}
-		api.NextRound()
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "two messages") {
 		t.Fatalf("want double-send error, got %v", err)
 	}
@@ -120,10 +108,9 @@ func TestDoubleSendPanics(t *testing.T) {
 
 func TestInvalidPortPanics(t *testing.T) {
 	g := graph.Path(3)
-	_, err := Run(Config{Graph: g, Seed: 5}, func(api *API) {
+	_, err := RunStep(Config{Graph: g, Seed: 5}, once(func(api *StepAPI) {
 		api.Send(5, intMsg{1})
-		api.NextRound()
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "invalid port") {
 		t.Fatalf("want invalid port error, got %v", err)
 	}
@@ -131,29 +118,11 @@ func TestInvalidPortPanics(t *testing.T) {
 
 func TestMaxRoundsExceeded(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 6, MaxRounds: 50}, func(api *API) {
-		for {
-			api.NextRound()
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 6, MaxRounds: 50}, func(int) StepProgram {
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status { return Running() })
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want max-rounds error, got %v", err)
-	}
-}
-
-func TestProgramPanicPropagates(t *testing.T) {
-	g := graph.Path(4)
-	_, err := Run(Config{Graph: g, Seed: 7}, func(api *API) {
-		api.NextRound()
-		if api.Index() == 2 {
-			panic("boom")
-		}
-		for i := 0; i < 10; i++ {
-			api.NextRound()
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("want propagated panic, got %v", err)
 	}
 }
 
@@ -161,15 +130,24 @@ func TestDeterminismSameSeed(t *testing.T) {
 	g := graph.Grid(5, 5)
 	run := func(seed int64) (*Result, []int64) {
 		vals := make([]int64, g.N())
-		res, err := Run(Config{Graph: g, Seed: seed}, func(api *API) {
-			x := api.Rand().Int63n(1000)
-			for r := 0; r < 20; r++ {
-				api.SendAll(intMsg{x})
-				for _, in := range api.NextRound() {
+		res, err := RunStep(Config{Graph: g, Seed: seed}, func(int) StepProgram {
+			var x int64
+			r := 0
+			return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+				if r == 0 {
+					x = api.Rand().Int63n(1000)
+				}
+				for _, in := range inbox {
 					x = (x + in.Msg.(intMsg).v) % 1_000_003
 				}
-			}
-			vals[api.Index()] = x
+				if r == 20 {
+					vals[api.Index()] = x
+					return Done()
+				}
+				api.SendAll(intMsg{x})
+				r++
+				return Running()
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,21 +176,35 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
+// TestSleepUntilWakesOnMessage: a node sleeping toward a far deadline
+// wakes at the round its mail is delivered, and the far deadline does
+// not pad the run.
 func TestSleepUntilWakesOnMessage(t *testing.T) {
 	g := graph.Path(2)
 	wokeAt := 0
-	res, err := Run(Config{Graph: g, Seed: 8}, func(api *API) {
-		if api.Index() == 0 {
-			api.Idle(5)
-			api.Send(0, intMsg{99})
-			api.NextRound()
-			return
+	res, err := RunStep(Config{Graph: g, Seed: 8}, func(node int) StepProgram {
+		if node == 0 {
+			return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+				switch api.Round() {
+				case 0:
+					return Sleep(5)
+				case 5:
+					api.Send(0, intMsg{99})
+					return Running()
+				}
+				return Done()
+			})
 		}
-		inbox := api.SleepUntil(100000)
-		wokeAt = api.Round()
-		if len(inbox) != 1 || inbox[0].Msg.(intMsg).v != 99 {
-			panic("wrong inbox")
-		}
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+			if api.Round() == 0 {
+				return Sleep(100000)
+			}
+			wokeAt = api.Round()
+			if len(inbox) != 1 || inbox[0].Msg.(intMsg).v != 99 {
+				panic("wrong inbox")
+			}
+			return Done()
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,28 +217,15 @@ func TestSleepUntilWakesOnMessage(t *testing.T) {
 	}
 }
 
-func TestFastForwardLongIdle(t *testing.T) {
-	g := graph.Path(3)
-	res, err := Run(Config{Graph: g, Seed: 9}, func(api *API) {
-		api.Idle(2_000_000)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Rounds != 2_000_000 {
-		t.Fatalf("rounds = %d, want 2000000", res.Metrics.Rounds)
-	}
-}
-
 func TestVerdictAggregation(t *testing.T) {
 	g := graph.Path(5)
-	res, err := Run(Config{Graph: g, Seed: 10}, func(api *API) {
+	res, err := RunStep(Config{Graph: g, Seed: 10}, once(func(api *StepAPI) {
 		if api.Index() == 3 {
 			api.Output(VerdictReject)
 		} else {
 			api.Output(VerdictAccept)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,29 +237,11 @@ func TestVerdictAggregation(t *testing.T) {
 	}
 }
 
-func TestMessageToDoneNodeDropped(t *testing.T) {
-	g := graph.Path(2)
-	res, err := Run(Config{Graph: g, Seed: 11}, func(api *API) {
-		if api.Index() == 0 {
-			return // terminate immediately
-		}
-		api.NextRound()
-		api.Send(0, intMsg{1}) // node 0 is done by now
-		api.NextRound()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.DroppedToDone != 1 {
-		t.Fatalf("dropped = %d, want 1", res.Metrics.DroppedToDone)
-	}
-}
-
 func TestModeledRounds(t *testing.T) {
 	g := graph.Path(3)
-	res, err := Run(Config{Graph: g, Seed: 12}, func(api *API) {
+	res, err := RunStep(Config{Graph: g, Seed: 12}, once(func(api *StepAPI) {
 		api.ChargeModeledRounds(7)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +254,9 @@ func TestCustomIDs(t *testing.T) {
 	g := graph.Path(3)
 	ids := []int64{100, 200, 300}
 	seen := make([]int64, 3)
-	_, err := Run(Config{Graph: g, Seed: 13, IDs: ids}, func(api *API) {
+	_, err := RunStep(Config{Graph: g, Seed: 13, IDs: ids}, once(func(api *StepAPI) {
 		seen[api.Index()] = api.ID()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +270,9 @@ func TestCustomIDs(t *testing.T) {
 func TestDefaultIDsAreUniquePermutation(t *testing.T) {
 	g := graph.Grid(4, 4)
 	seen := make([]int64, g.N())
-	_, err := Run(Config{Graph: g, Seed: 14}, func(api *API) {
+	_, err := RunStep(Config{Graph: g, Seed: 14}, once(func(api *StepAPI) {
 		seen[api.Index()] = api.ID()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,25 +299,34 @@ func pathTree(i, n int) Tree {
 	}
 }
 
+// incHop increments an intMsg payload on each tree hop.
+func incHop(m Message) Message { return intMsg{v: m.(intMsg).v + 1} }
+
 func TestTreeBroadcastDown(t *testing.T) {
 	const n = 7
 	g := graph.Path(n)
 	got := make([]int64, n)
-	_, err := Run(Config{Graph: g, Seed: 15}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		deadline := api.Round() + n + 2
-		var root Message
-		if tr.IsRoot() {
-			root = intMsg{v: 1}
-		}
-		// Each hop increments the payload, so node i receives i+1.
-		m, ok := tr.BroadcastDown(api, deadline, root, func(m Message) Message {
-			return intMsg{v: m.(intMsg).v + 1}
+	_, err := RunStep(Config{Graph: g, Seed: 15}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var bd BroadcastDownStep
+		return opsProgram(treeOp{
+			m: &bd,
+			begin: func(api *StepAPI) bool {
+				var root Message
+				if tr.IsRoot() {
+					root = intMsg{v: 1}
+				}
+				// Each hop increments the payload, so node i receives i+1.
+				return bd.Begin(api, tr, api.Round()+n+2, root, incHop)
+			},
+			end: func(api *StepAPI) {
+				m, ok := bd.Result()
+				if !ok {
+					panic("broadcast did not complete")
+				}
+				got[i] = m.(intMsg).v
+			},
 		})
-		if !ok {
-			panic("broadcast did not complete")
-		}
-		got[api.Index()] = m.(intMsg).v
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,23 +342,24 @@ func TestTreeConvergecastSum(t *testing.T) {
 	const n = 9
 	g := graph.Path(n)
 	var rootSum int64
-	_, err := Run(Config{Graph: g, Seed: 16}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		deadline := api.Round() + n + 2
-		own := intMsg{v: int64(api.Index())}
-		agg, ok := tr.Convergecast(api, deadline, own, func(own Message, children []Message) Message {
-			s := own.(intMsg).v
-			for _, c := range children {
-				s += c.(intMsg).v
-			}
-			return intMsg{v: s}
+	_, err := RunStep(Config{Graph: g, Seed: 16}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var cv ConvergecastStep
+		return opsProgram(treeOp{
+			m: &cv,
+			begin: func(api *StepAPI) bool {
+				return cv.Begin(api, tr, api.Round()+n+2, intMsg{v: int64(i)}, sumCombine)
+			},
+			end: func(api *StepAPI) {
+				agg, ok := cv.Result()
+				if !ok {
+					panic("convergecast did not complete")
+				}
+				if tr.IsRoot() {
+					rootSum = agg.(intMsg).v
+				}
+			},
 		})
-		if !ok {
-			panic("convergecast did not complete")
-		}
-		if tr.IsRoot() {
-			rootSum = agg.(intMsg).v
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,23 +373,26 @@ func TestTreePipelineUp(t *testing.T) {
 	const n = 6
 	g := graph.Path(n)
 	var collected []int64
-	_, err := Run(Config{Graph: g, Seed: 17}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		// Each node contributes two items; budget = items + depth + slack.
-		items := []Message{
-			intMsg{v: int64(api.Index() * 10)},
-			intMsg{v: int64(api.Index()*10 + 1)},
-		}
-		deadline := api.Round() + 2*n + n + 4
-		got, ok := tr.PipelineUp(api, deadline, items)
-		if !ok {
-			panic("pipeline did not complete")
-		}
-		if tr.IsRoot() {
-			for _, m := range got {
-				collected = append(collected, m.(intMsg).v)
-			}
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 17}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var pu PipelineUpStep
+		return opsProgram(treeOp{
+			m: &pu,
+			begin: func(api *StepAPI) bool {
+				// Each node contributes two items; budget = items + depth + slack.
+				items := []Message{intMsg{v: int64(i * 10)}, intMsg{v: int64(i*10 + 1)}}
+				return pu.Begin(api, tr, api.Round()+2*n+n+4, items)
+			},
+			end: func(api *StepAPI) {
+				got, ok := pu.Result()
+				if !ok {
+					panic("pipeline did not complete")
+				}
+				for _, m := range got {
+					collected = append(collected, m.(intMsg).v)
+				}
+			},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -441,25 +415,33 @@ func TestTreeBroadcastItemsDown(t *testing.T) {
 	const n = 5
 	g := graph.Path(n)
 	counts := make([]int, n)
-	_, err := Run(Config{Graph: g, Seed: 18}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		var items []Message
-		if tr.IsRoot() {
-			for k := 0; k < 7; k++ {
-				items = append(items, intMsg{v: int64(100 + k)})
-			}
-		}
-		deadline := api.Round() + 7 + n + 4
-		got, ok := tr.BroadcastItemsDown(api, deadline, items)
-		if !ok {
-			panic("broadcast-items did not complete")
-		}
-		counts[api.Index()] = len(got)
-		for k, m := range got {
-			if m.(intMsg).v != int64(100+k) {
-				panic("wrong item order")
-			}
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 18}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var bi BroadcastItemsDownStep
+		return opsProgram(treeOp{
+			m: &bi,
+			begin: func(api *StepAPI) bool {
+				var items []Message
+				if tr.IsRoot() {
+					for k := 0; k < 7; k++ {
+						items = append(items, intMsg{v: int64(100 + k)})
+					}
+				}
+				return bi.Begin(api, tr, api.Round()+7+n+4, items)
+			},
+			end: func(api *StepAPI) {
+				got, ok := bi.Result()
+				if !ok {
+					panic("broadcast-items did not complete")
+				}
+				counts[i] = len(got)
+				for k, m := range got {
+					if m.(intMsg).v != int64(100+k) {
+						panic("wrong item order")
+					}
+				}
+			},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,27 +458,27 @@ func TestTreeOpsOnStar(t *testing.T) {
 	const n = 7
 	g := graph.Star(n)
 	var sum int64
-	_, err := Run(Config{Graph: g, Seed: 19}, func(api *API) {
-		var tr Tree
-		if api.Index() == 0 {
+	_, err := RunStep(Config{Graph: g, Seed: 19}, func(i int) StepProgram {
+		tr := Tree{ParentPort: 0}
+		if i == 0 {
 			tr = Tree{ParentPort: -1, ChildPorts: []int{0, 1, 2, 3, 4, 5}}
-		} else {
-			tr = Tree{ParentPort: 0}
 		}
-		deadline := api.Round() + 4
-		agg, ok := tr.Convergecast(api, deadline, intMsg{v: 1}, func(own Message, children []Message) Message {
-			s := own.(intMsg).v
-			for _, c := range children {
-				s += c.(intMsg).v
-			}
-			return intMsg{v: s}
+		var cv ConvergecastStep
+		return opsProgram(treeOp{
+			m: &cv,
+			begin: func(api *StepAPI) bool {
+				return cv.Begin(api, tr, api.Round()+4, intMsg{v: 1}, sumCombine)
+			},
+			end: func(api *StepAPI) {
+				agg, ok := cv.Result()
+				if !ok {
+					panic("convergecast failed")
+				}
+				if tr.IsRoot() {
+					sum = agg.(intMsg).v
+				}
+			},
 		})
-		if !ok {
-			panic("convergecast failed")
-		}
-		if tr.IsRoot() {
-			sum = agg.(intMsg).v
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -526,19 +508,14 @@ func TestVerdictString(t *testing.T) {
 
 func TestCancelAbortsRun(t *testing.T) {
 	g := graph.Cycle(9)
-	prog := func(api *API) {
-		for r := 0; r < 1_000_000; r++ {
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
-		}
-	}
+	count := func(r int) Message { return intMsg{int64(r)} }
 
 	// A channel that fires mid-run ends it with ErrCanceled. Closing
 	// before the run starts makes the abort deterministic: the engine
 	// polls at the first barrier.
 	done := make(chan struct{})
 	close(done)
-	_, err := Run(Config{Graph: g, Seed: 3, Cancel: done}, prog)
+	_, err := RunStep(Config{Graph: g, Seed: 3, Cancel: done}, chatter(1_000_000, count))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled run: err = %v, want ErrCanceled", err)
 	}
@@ -547,18 +524,11 @@ func TestCancelAbortsRun(t *testing.T) {
 	// byte-identical Results vs. a run without one.
 	idle := make(chan struct{})
 	defer close(idle)
-	short := func(api *API) {
-		for r := 0; r < 10; r++ {
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
-		}
-		api.Output(VerdictAccept)
-	}
-	base, err := Run(Config{Graph: g, Seed: 3}, short)
+	base, err := RunStep(Config{Graph: g, Seed: 3}, chatter(10, count))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Graph: g, Seed: 3, Cancel: idle}, short)
+	got, err := RunStep(Config{Graph: g, Seed: 3, Cancel: idle}, chatter(10, count))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -448,7 +448,7 @@ func RegisterMessageCodec(kind uint16, sample Message, enc func(e *SnapEncoder, 
 	msgCodecs[kind] = msgCodec{enc: enc, dec: dec}
 }
 
-// Engine-internal pipeline framing messages (tree.go). Bits are
+// Engine-internal pipeline framing messages (tree_step.go). Bits are
 // encoded rather than recomputed so a restored message is field-exact.
 func init() {
 	RegisterMessageCodec(1, pipeItem{},

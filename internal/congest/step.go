@@ -32,9 +32,7 @@ const (
 	statusRunning statusKind = iota
 	statusSleep
 	statusDone
-	statusBecome
 	statusBecomeStep
-	statusPanic // internal: shim goroutine panicked
 )
 
 // Status is a StepProgram's yield instruction: it completes the node's
@@ -43,44 +41,29 @@ const (
 type Status struct {
 	kind     statusKind
 	wake     int
-	cont     Program
 	contStep StepProgram
-	panicVal any
 }
 
 // Running completes the round and wakes the node at the next round.
 func Running() Status { return Status{kind: statusRunning} }
 
 // Sleep completes the round and wakes the node when a message arrives or
-// the global round reaches `untilRound`, whichever comes first (the step
-// counterpart of API.SleepUntil).
+// the global round reaches `untilRound`, whichever comes first.
 func Sleep(untilRound int) Status { return Status{kind: statusSleep, wake: untilRound} }
 
 // Done terminates the node. Messages sent to it afterwards are dropped
 // (counted in Metrics.DroppedToDone).
 func Done() Status { return Status{kind: statusDone} }
 
-// Become switches the node to the blocking compatibility model: from the
-// current round on, the node runs cont as an ordinary blocking Program on
-// its own goroutine. The continuation starts executing immediately, in the
-// same round in which Become was returned, exactly as if the whole node
-// program had been one sequential function. Native step phases can hand
-// over to not-yet-ported blocking phases this way (e.g. Stage I runs
-// natively and Stage II runs as its blocking continuation).
-func Become(cont Program) Status { return Status{kind: statusBecome, cont: cont} }
-
 // BecomeStep switches the node to a different StepProgram: cont's first
-// Step runs immediately, in the same round, staying on the native fast
-// path. Use it to chain independently written step phases (e.g. Stage I
-// hands over to Stage II).
+// Step runs immediately, in the same round, exactly as if the two
+// programs had been one. Use it to chain independently written step
+// phases (e.g. Stage I hands over to Stage II).
 func BecomeStep(cont StepProgram) Status { return Status{kind: statusBecomeStep, contStep: cont} }
 
-// StepAPI is a node's handle to the network inside Step calls. It is also
-// the engine-side core that the blocking API wraps, so both execution
-// models share identical send, verdict, and randomness semantics. It is
-// only valid during the node's Step call (or, for blocking programs,
-// between the engine's resume and the program's next yield) and is not
-// safe for concurrent use.
+// StepAPI is a node's handle to the network inside Step calls. It is
+// only valid during the node's Step call and is not safe for concurrent
+// use.
 //
 // The handle itself is a 32-byte view: per-round mutable state (outbox,
 // duplicate-send bits, verdict/charge flags) lives in the engine's

@@ -9,9 +9,9 @@ import (
 	"repro/internal/graph"
 )
 
-// floodStep is the step-model mirror of the blocking flood-BFS program in
-// TestFloodBFSOnGrid: round-exact sends, so both models must produce
-// byte-identical Results.
+// floodStep floods BFS distances from node 0: every node forwards its
+// distance once, on the round after it first hears one, and terminates
+// at the deadline.
 type floodStep struct {
 	deadline int
 	d        int
@@ -44,29 +44,8 @@ func (f *floodStep) Step(api *StepAPI, inbox []Inbound) Status {
 	return Sleep(f.deadline)
 }
 
-func floodBlocking(deadline int, dist []int) Program {
-	return func(api *API) {
-		d := -1
-		if api.Index() == 0 {
-			d = 0
-			api.SendAll(intMsg{0})
-			api.Idle(deadline - api.Round())
-		} else {
-			for d == -1 && api.Round() < deadline {
-				for _, in := range api.SleepUntil(deadline) {
-					if m, ok := in.Msg.(intMsg); ok && d == -1 {
-						d = int(m.v) + 1
-						api.SendAll(intMsg{int64(d)})
-					}
-				}
-			}
-			api.Idle(deadline - api.Round())
-		}
-		dist[api.Index()] = d
-	}
-}
-
-// leaderStep mirrors the blocking max-id leader election round for round.
+// leaderStep is max-id leader election: every node floods the largest id
+// it has seen, for a fixed number of rounds.
 type leaderStep struct {
 	rounds  int
 	best    int64
@@ -110,99 +89,75 @@ func TestStepEngineEquivalence(t *testing.T) {
 		{"star", graph.Star(12)},
 		{"path", graph.Path(17)},
 	}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for seed := int64(0); seed < 3; seed++ {
 			for _, w := range []int{1, 2} {
 				cfg := Config{Graph: fam.g, Seed: seed, Workers: w}
 				key := fmt.Sprintf("%s/seed%d/w%d", fam.name, seed, w)
-				const deadline = 300
-				bDist := make([]int, fam.g.N())
-				bRes, bErr := Run(cfg, floodBlocking(deadline, bDist))
-				bLines = append(bLines, goldenLine(key+"/flood", bRes, bErr, bDist))
-				sDist := make([]int, fam.g.N())
-				sRes, sErr := RunStep(cfg, func(int) StepProgram {
-					return &floodStep{deadline: deadline, dist: sDist}
+				dist := make([]int, fam.g.N())
+				res, err := RunStep(cfg, func(int) StepProgram {
+					return &floodStep{deadline: 300, dist: dist}
 				})
-				sLines = append(sLines, goldenLine(key+"/flood", sRes, sErr, sDist))
-
-				rounds := fam.g.N()
-				bOut := make([]int64, fam.g.N())
-				bRes, bErr = Run(cfg, func(api *API) {
-					best := api.ID()
-					for r := 0; r < rounds; r++ {
-						api.SendAll(intMsg{best})
-						for _, in := range api.NextRound() {
-							if m := in.Msg.(intMsg); m.v > best {
-								best = m.v
-							}
-						}
-					}
-					bOut[api.Index()] = best
+				lines = append(lines, goldenLine(key+"/flood", res, err, dist))
+				out := make([]int64, fam.g.N())
+				res, err = RunStep(cfg, func(int) StepProgram {
+					return &leaderStep{rounds: fam.g.N(), out: out}
 				})
-				bLines = append(bLines, goldenLine(key+"/leader", bRes, bErr, bOut))
-				sOut := make([]int64, fam.g.N())
-				sRes, sErr = RunStep(cfg, func(int) StepProgram {
-					return &leaderStep{rounds: rounds, out: sOut}
-				})
-				sLines = append(sLines, goldenLine(key+"/leader", sRes, sErr, sOut))
+				lines = append(lines, goldenLine(key+"/leader", res, err, out))
 			}
 		}
 	}
-	checkGolden(t, "step_engine.golden", bLines)
-	checkGolden(t, "step_engine.golden", sLines)
+	checkGolden(t, "step_engine.golden", lines)
 }
 
-// TestTreeStepOpsEquivalence pins the step-native tree primitives
-// (convergecast then pipelined convergecast) to the digests in
-// testdata/tree_ops.golden, captured from the blocking Tree methods.
+// TestTreeStepOpsEquivalence pins the tree primitives (convergecast then
+// pipelined convergecast) to the digests in testdata/tree_ops.golden,
+// captured from the blocking tree operations.
 func TestTreeStepOpsEquivalence(t *testing.T) {
 	const n = 9
 	g := graph.Path(n)
-	run := func(step bool, w int) string {
+	var lines []string
+	for _, w := range []int{1, 2} {
 		var rootSum int64
 		var collected []int64
-		blocking := func(api *API) {
-			tr := pathTree(api.Index(), n)
-			deadline := api.Round() + n + 2
-			own := intMsg{v: int64(api.Index())}
-			agg, ok := tr.Convergecast(api, deadline, own, sumCombine)
-			if !ok {
-				panic("convergecast failed")
-			}
-			if tr.IsRoot() {
-				rootSum = agg.(intMsg).v
-			}
-			items := []Message{intMsg{v: int64(api.Index() * 10)}}
-			got, ok := tr.PipelineUp(api, api.Round()+2*n+4, items)
-			if !ok {
-				panic("pipeline failed")
-			}
-			if tr.IsRoot() {
-				for _, m := range got {
-					collected = append(collected, m.(intMsg).v)
-				}
-			}
-		}
-		cfg := Config{Graph: g, Seed: 7, Workers: w}
-		var res *Result
-		var err error
-		if !step {
-			res, err = Run(cfg, blocking)
-		} else {
-			res, err = RunStep(cfg, func(int) StepProgram {
-				return &treeOpsProg{n: n, rootSum: &rootSum, collected: &collected}
+		res, err := RunStep(Config{Graph: g, Seed: 7, Workers: w}, func(i int) StepProgram {
+			tr := pathTree(i, n)
+			var cv ConvergecastStep
+			var pu PipelineUpStep
+			return opsProgram(treeOp{
+				m: &cv,
+				begin: func(api *StepAPI) bool {
+					return cv.Begin(api, tr, api.Round()+n+2, intMsg{v: int64(i)}, sumCombine)
+				},
+				end: func(api *StepAPI) {
+					agg, ok := cv.Result()
+					if !ok {
+						panic("convergecast failed")
+					}
+					if tr.IsRoot() {
+						rootSum = agg.(intMsg).v
+					}
+				},
+			}, treeOp{
+				m: &pu,
+				begin: func(api *StepAPI) bool {
+					return pu.Begin(api, tr, api.Round()+2*n+4, []Message{intMsg{v: int64(i * 10)}})
+				},
+				end: func(api *StepAPI) {
+					got, ok := pu.Result()
+					if !ok {
+						panic("pipeline failed")
+					}
+					for _, m := range got {
+						collected = append(collected, m.(intMsg).v)
+					}
+				},
 			})
-		}
-		return goldenLine(fmt.Sprintf("path%d/seed7/w%d", n, w), res, err, rootSum, collected)
+		})
+		lines = append(lines, goldenLine(fmt.Sprintf("path%d/seed7/w%d", n, w), res, err, rootSum, collected))
 	}
-	var bLines, sLines []string
-	for _, w := range []int{1, 2} {
-		bLines = append(bLines, run(false, w))
-		sLines = append(sLines, run(true, w))
-	}
-	checkGolden(t, "tree_ops.golden", bLines)
-	checkGolden(t, "tree_ops.golden", sLines)
+	checkGolden(t, "tree_ops.golden", lines)
 }
 
 func sumCombine(own Message, children []Message) Message {
@@ -213,86 +168,11 @@ func sumCombine(own Message, children []Message) Message {
 	return intMsg{v: s}
 }
 
-type treeOpsProg struct {
-	n         int
-	rootSum   *int64
-	collected *[]int64
-	phase     int
-	cv        ConvergecastStep
-	pu        PipelineUpStep
-	tr        Tree
-	started   bool
-}
-
-func (p *treeOpsProg) Step(api *StepAPI, inbox []Inbound) Status {
-	for {
-		switch p.phase {
-		case 0:
-			if !p.started {
-				p.started = true
-				p.tr = pathTree(api.Index(), p.n)
-				own := intMsg{v: int64(api.Index())}
-				if !p.cv.Begin(api, p.tr, api.Round()+p.n+2, own, sumCombine) {
-					return p.cv.Wake()
-				}
-			} else if !p.cv.Feed(api, inbox) {
-				return p.cv.Wake()
-			}
-			agg, ok := p.cv.Result()
-			if !ok {
-				panic("convergecast failed")
-			}
-			if p.tr.IsRoot() {
-				*p.rootSum = agg.(intMsg).v
-			}
-			p.phase = 1
-			p.started = false
-		case 1:
-			if !p.started {
-				p.started = true
-				items := []Message{intMsg{v: int64(api.Index() * 10)}}
-				if !p.pu.Begin(api, p.tr, api.Round()+2*p.n+4, items) {
-					return p.pu.Wake()
-				}
-			} else if !p.pu.Feed(api, inbox) {
-				return p.pu.Wake()
-			}
-			got, ok := p.pu.Result()
-			if p.tr.IsRoot() {
-				if !ok {
-					panic("pipeline failed")
-				}
-				for _, m := range got {
-					*p.collected = append(*p.collected, m.(intMsg).v)
-				}
-			}
-			return Done()
-		}
-	}
-}
-
 // TestStopOnRejectMidRound verifies that a reject stops the run at the
-// next barrier in both execution models, with identical metrics.
+// next barrier.
 func TestStopOnRejectMidRound(t *testing.T) {
 	g := graph.Grid(4, 4)
-	blocking := func(api *API) {
-		for r := 0; r < 100; r++ {
-			if api.Index() == 5 && api.Round() == 7 {
-				api.Output(VerdictReject)
-			}
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
-		}
-		api.Output(VerdictAccept)
-	}
-	bRes, err := Run(Config{Graph: g, Seed: 3, StopOnReject: true}, blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bRes.Metrics.Rounds != 7 {
-		t.Fatalf("blocking rounds = %d, want 7 (stop at first barrier after reject)", bRes.Metrics.Rounds)
-	}
-	sRes, err := RunStep(Config{Graph: g, Seed: 3, StopOnReject: true}, func(int) StepProgram {
+	res, err := RunStep(Config{Graph: g, Seed: 3, StopOnReject: true}, func(int) StepProgram {
 		r := 0
 		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 			if r == 100 {
@@ -310,12 +190,15 @@ func TestStopOnRejectMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("stop-on-reject mismatch:\nblocking: %+v\nstep:     %+v", bRes, sRes)
+	if res.Metrics.Rounds != 7 {
+		t.Fatalf("rounds = %d, want 7 (stop at first barrier after reject)", res.Metrics.Rounds)
+	}
+	if res.RejectCount() != 1 {
+		t.Fatalf("rejects = %d, want 1", res.RejectCount())
 	}
 }
 
-// TestStepSleepFastForward checks that the engine fast-forwards a native
+// TestStepSleepFastForward checks that the engine fast-forwards a
 // sleeper over empty rounds without simulating them.
 func TestStepSleepFastForward(t *testing.T) {
 	g := graph.Path(3)
@@ -368,7 +251,7 @@ func TestStepMessageToDoneDropped(t *testing.T) {
 	}
 }
 
-// TestStepPanicPropagates checks that a panic inside a native Step is
+// TestStepPanicPropagates checks that a panic inside a Step call is
 // converted into a run error naming the node and round.
 func TestStepPanicPropagates(t *testing.T) {
 	g := graph.Path(4)
@@ -401,62 +284,54 @@ func TestStepBitBoundViolation(t *testing.T) {
 	}
 }
 
-// TestBecomeMidRun checks the native-to-blocking handover: the blocking
-// continuation starts in the same round and the combined program behaves
-// exactly like its all-blocking equivalent.
+// TestBecomeMidRun checks the same-round BecomeStep handover: the
+// continuation's first Step runs in the round of the handover, with the
+// same inbox, and the chained program behaves exactly like its
+// single-program equivalent.
 func TestBecomeMidRun(t *testing.T) {
 	g := graph.Cycle(9)
 	const split = 5
 	const total = 12
-	blocking := func(api *API) {
-		x := api.ID()
-		for r := 0; r < total; r++ {
-			api.SendAll(intMsg{x})
-			for _, in := range api.NextRound() {
-				x += in.Msg.(intMsg).v
-			}
-		}
-		api.Output(VerdictAccept)
-	}
-	bRes, err := Run(Config{Graph: g, Seed: 9}, blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sRes, err := RunStep(Config{Graph: g, Seed: 9}, func(int) StepProgram {
-		var x int64
-		r := 0
-		started := false
+	// sum floods an accumulating value for rounds [from, total) and then
+	// accepts; with handover set, it hands the rest of the schedule to a
+	// fresh sum at round split. The program steps every round, so its
+	// counter must track the engine round across the handover.
+	var sum func(x int64, from int, handover bool) StepProgram
+	sum = func(x int64, from int, handover bool) StepProgram {
+		r := from
 		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
-			if !started {
-				started = true
+			if api.Round() != r {
+				panic("program off schedule")
+			}
+			if handover && r == split {
+				// Hand over before reading the inbox: the continuation
+				// steps in this same round, with the same inbox.
+				return BecomeStep(sum(x, r, false))
+			}
+			if r == 0 {
 				x = api.ID()
-				api.SendAll(intMsg{x})
-				return Running()
 			}
 			for _, in := range inbox {
 				x += in.Msg.(intMsg).v
 			}
-			r++
-			if r == split {
-				// Hand the rest of the schedule to a blocking program.
-				return Become(func(api *API) {
-					for ; r < total; r++ {
-						api.SendAll(intMsg{x})
-						for _, in := range api.NextRound() {
-							x += in.Msg.(intMsg).v
-						}
-					}
-					api.Output(VerdictAccept)
-				})
+			if r == total {
+				api.Output(VerdictAccept)
+				return Done()
 			}
 			api.SendAll(intMsg{x})
+			r++
 			return Running()
 		})
-	})
+	}
+	whole, err := RunStep(Config{Graph: g, Seed: 9}, func(int) StepProgram { return sum(0, 0, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("become mismatch:\nblocking: %+v\nhybrid:   %+v", bRes, sRes)
+	chained, err := RunStep(Config{Graph: g, Seed: 9}, func(int) StepProgram { return sum(0, 0, true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(whole, chained) {
+		t.Fatalf("become mismatch:\nwhole:   %+v\nchained: %+v", whole, chained)
 	}
 }

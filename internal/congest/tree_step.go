@@ -2,8 +2,31 @@ package congest
 
 import "fmt"
 
-// Step-native ports of the Tree communication primitives. Each primitive
-// is a small state machine driven from a StepProgram:
+// Tree is a node's local view of a rooted spanning tree of (a subgraph of)
+// the network: the port leading to its parent and the ports leading to its
+// children. All tree operations are budget-synchronized: every node of the
+// tree must run the same operation with the same deadline, and every node
+// completes exactly at the deadline, keeping multi-part schedules in
+// lockstep (the paper's emulation style, §2.1.5).
+type Tree struct {
+	ParentPort int // -1 at the root
+	ChildPorts []int
+}
+
+// IsRoot reports whether this node is the tree root.
+func (t Tree) IsRoot() bool { return t.ParentPort < 0 }
+
+func (t Tree) isChildPort(p int) bool {
+	for _, c := range t.ChildPorts {
+		if c == p {
+			return true
+		}
+	}
+	return false
+}
+
+// The tree communication primitives are small state machines driven from
+// a StepProgram:
 //
 //	completed := sm.Begin(api, ...)   // at the operation's start round
 //	for !completed {
@@ -12,19 +35,17 @@ import "fmt"
 //	}
 //	result, ok := sm.Result()
 //
-// The machines replicate the blocking versions in tree.go round for round:
-// they send the same messages in the same rounds and complete exactly at
-// their deadline, so a step program composed of them produces byte-identical
-// Results (rounds, message counts, bits) to its blocking counterpart. The
-// structs are reusable: Begin fully resets them, and retained buffers are
-// recycled across operations to keep the hot path allocation-free. They
-// are embedded by value in the per-node program state, and everything
-// they need per wake reaches them through the slab-backed StepAPI
-// (DESIGN.md §8); the run-constant bit bound is captured at Begin so the
-// per-round send path does not re-chase it through the engine.
+// Each machine completes exactly at its deadline. The structs are
+// reusable: Begin fully resets them, and retained buffers are recycled
+// across operations to keep the hot path allocation-free. They are
+// embedded by value in the per-node program state, and everything they
+// need per wake reaches them through the slab-backed StepAPI (DESIGN.md
+// §8); the run-constant bit bound is captured at Begin so the per-round
+// send path does not re-chase it through the engine.
 
-// BroadcastDownStep is the step-native Tree.BroadcastDown: it distributes
-// a message from the root to every tree node, transformed on each hop.
+// BroadcastDownStep distributes a message from the root to every tree
+// node, transformed on each hop (a nil transform is the identity). Nodes
+// forward to their children one round after receiving.
 type BroadcastDownStep struct {
 	t         Tree
 	deadline  int
@@ -100,8 +121,10 @@ func (b *BroadcastDownStep) DecodeState(d *SnapDecoder) {
 // function itself cannot be serialized.
 func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
 
-// ConvergecastStep is the step-native Tree.Convergecast: it aggregates one
-// message from every tree node to the root.
+// ConvergecastStep aggregates one message from every tree node to the
+// root. Each node contributes own; combine merges own with the messages
+// of all children (ordered as ChildPorts; every child contributes exactly
+// one), and the result travels to the parent.
 type ConvergecastStep struct {
 	t        Tree
 	deadline int
@@ -201,9 +224,10 @@ func (c *ConvergecastStep) DecodeState(d *SnapDecoder) {
 // function itself cannot be serialized.
 func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
-// PipelineUpStep is the step-native Tree.PipelineUp: it streams every
-// node's items to the root, one B-bit batch of items per tree edge per
-// round (packPipe).
+// PipelineUpStep streams every node's items to the root, one B-bit batch
+// of items per tree edge per round (packPipe): the standard CONGEST
+// pipelining bound with the bit bound fully used, completing within
+// ceil(total bits / B) + depth rounds.
 type PipelineUpStep struct {
 	t            Tree
 	deadline     int
@@ -212,7 +236,7 @@ type PipelineUpStep struct {
 	queue        []Message // non-root: pending payloads to forward
 	doneChildren int
 	sentEnd      bool
-	wantNext     bool // non-root: advance one round (NextRound) vs sleep
+	wantNext     bool // non-root: advance one round (Running) vs sleep
 }
 
 // Begin starts the pipeline at the current round.
@@ -237,9 +261,9 @@ func (p *PipelineUpStep) Begin(api *StepAPI, t Tree, deadline int, items []Messa
 	return false
 }
 
-// sendPhase mirrors one send step of the blocking loop body: a maximal
-// bit-bound-sized batch is packed from the queue front (own items and
-// received ones re-batch together, so links stay fully utilized).
+// sendPhase performs one send step: a maximal bit-bound-sized batch is
+// packed from the queue front (own items and received ones re-batch
+// together, so links stay fully utilized).
 func (p *PipelineUpStep) sendPhase(api *StepAPI) {
 	allDone := p.doneChildren == len(p.t.ChildPorts)
 	switch {
@@ -337,9 +361,9 @@ func (p *PipelineUpStep) DecodeState(d *SnapDecoder) {
 	p.wantNext = d.Bool()
 }
 
-// BroadcastItemsDownStep is the step-native Tree.BroadcastItemsDown: it
-// streams a sequence of items from the root to every tree node, one item
-// per round, pipelined through the tree.
+// BroadcastItemsDownStep streams a sequence of items from the root to
+// every tree node, one B-bit batch per round, pipelined through the
+// tree. Items must individually fit the bit bound.
 type BroadcastItemsDownStep struct {
 	t        Tree
 	deadline int
@@ -476,3 +500,75 @@ func (b *BroadcastItemsDownStep) DecodeState(d *SnapDecoder) {
 	b.done = d.Bool()
 	b.Keep = nil
 }
+
+// pipeItem wraps a payload moving through PipelineUp/BroadcastItemsDown.
+// The wrapped size is computed once at boxing time: the same boxed item
+// is re-routed at every tree hop, and the engine checks Bits() per hop.
+type pipeItem struct {
+	payload Message
+	bits    int
+}
+
+func newPipeItem(payload Message) pipeItem {
+	return pipeItem{payload: payload, bits: 1 + payload.Bits()}
+}
+
+func (p pipeItem) Bits() int { return p.bits }
+
+// pipeBatch packs consecutive pipelined payloads into a single message.
+// The pipelined primitives use the full CONGEST bit bound this way: a
+// stream of small items (rotation entries, edge ids) moves in
+// ceil(total bits / B) rounds instead of one round per item, exactly
+// like the paper's own label chunking (§2.2.2) exploits B-bit messages.
+// The size is computed once at packing time.
+type pipeBatch struct {
+	payloads []Message
+	bits     int
+}
+
+func (p pipeBatch) Bits() int { return p.bits }
+
+// packPipe packs a maximal prefix of items into one pipelined message
+// within bitBound bits (batch header 1 bit, plus 1+Bits() per payload,
+// mirroring pipeItem's framing) and returns it with the count consumed.
+// A single payload travels as a bare pipeItem — also the fallback when
+// the batch framing would not fit the bound. The returned batch aliases
+// items, so callers must not rewrite consumed slots while the message
+// may be in flight (popping a prefix and appending is fine).
+func packPipe(items []Message, bitBound int) (Message, int) {
+	bits := 1 + 1 + items[0].Bits()
+	if bits > bitBound {
+		return newPipeItem(items[0]), 1
+	}
+	n := 1
+	for n < len(items) {
+		nb := 1 + items[n].Bits()
+		if bits+nb > bitBound {
+			break
+		}
+		bits += nb
+		n++
+	}
+	if n == 1 {
+		return newPipeItem(items[0]), 1
+	}
+	return pipeBatch{payloads: items[:n:n], bits: bits}, n
+}
+
+// pushPipePayloads appends the payloads of a received pipeItem/pipeBatch
+// to a relay queue (shared receive path of the pipelined primitives).
+// It reports false for messages that are not pipelined items.
+func pushPipePayloads(queue []Message, m Message) ([]Message, bool) {
+	switch pm := m.(type) {
+	case pipeItem:
+		return append(queue, pm.payload), true
+	case pipeBatch:
+		return append(queue, pm.payloads...), true
+	}
+	return queue, false
+}
+
+// pipeEnd marks the end of a pipelined stream.
+type pipeEnd struct{}
+
+func (pipeEnd) Bits() int { return 1 }

@@ -36,23 +36,20 @@ func TestTesterEngineEquivalence(t *testing.T) {
 		{Epsilon: 0.25, Partition: partition.Options{Epsilon: 0.25, Variant: partition.Randomized, Schedule: partition.PracticalSchedule}},
 		{Epsilon: 0.25, UseEN: true},
 	}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for oi, opts := range optsList {
 			for seed := int64(0); seed < 3; seed++ {
 				for _, w := range []int{1, 2} {
 					opts.Workers = w
 					key := fmt.Sprintf("%s/opts%d/seed%d/w%d", fam.name, oi, seed, w)
-					br, bErr := RunTesterBlocking(fam.g, opts, seed)
-					bLines = append(bLines, goldenLine(key, br, bErr))
-					sr, sErr := RunTester(fam.g, opts, seed)
-					sLines = append(sLines, goldenLine(key, sr, sErr))
+					r, err := RunTester(fam.g, opts, seed)
+					lines = append(lines, goldenLine(key, r, err))
 				}
 			}
 		}
 	}
-	checkGolden(t, "tester.golden", bLines)
-	checkGolden(t, "tester.golden", sLines)
+	checkGolden(t, "tester.golden", lines)
 }
 
 // goldenLine formats one case: the run error, or the verdict summary

@@ -9,15 +9,15 @@ import (
 	"repro/internal/partition"
 )
 
-// This file is the native StepProgram port of the per-part preprocessing
-// exposed by PartContext (partctx.go): budget agreement, the boundary
-// round, BFS tree construction, and edge assignment, followed by the
-// optional gather-and-evaluate continuation that mirrors
-// Counts() → GatherGraph(m) → predicate → BroadcastBit(). The ops are the
-// same as the Stage II prelude (stage2_step.go) and replicate the blocking
-// calls round for round, so testers built on either model produce
-// byte-identical Results for a fixed seed (the minor-free and hereditary
-// engine-equivalence tests).
+// This file implements the per-part preprocessing of Stage II (§2.2.1)
+// as a StepProgram: budget agreement, the boundary round, BFS tree
+// construction, and edge assignment, followed by the optional
+// gather-and-evaluate continuation (part counts, gather the part graph at
+// the root, evaluate a predicate, broadcast the bit). Stage II runs it as
+// its prelude, and the minor-free applications of §4.2 (cycle-freeness
+// and bipartiteness testing, hereditary properties) chain from it. Every
+// node of the network starts it at the same round, right after
+// partitioning.
 
 type pcOp uint8
 
@@ -31,8 +31,8 @@ const (
 	pcDone                   // context ready; hand over to the caller
 )
 
-// PartCtxStep is the step-native counterpart of PartContext: a StepProgram
-// that builds this node's part context and then invokes the done callback,
+// PartCtxStep is a StepProgram that builds this node's part context
+// (round budget, intra-part ports, BFS tree, levels, and edge assignment) and then invokes the done callback,
 // whose Status becomes the node's next scheduling instruction (typically
 // Done after local checks, or BecomeStep of a continuation such as
 // NewGatherEval's).
@@ -64,8 +64,8 @@ type PartCtxStep struct {
 	childPorts []int
 }
 
-// NewPartCtxStep returns the native part-context builder for one node with
-// the given partition outcome.
+// NewPartCtxStep returns the part-context builder for one node with the
+// given partition outcome.
 func NewPartCtxStep(part *partition.Outcome, done func(api *congest.StepAPI, c *PartCtxStep) congest.Status) *PartCtxStep {
 	return &PartCtxStep{part: part, done: done}
 }
@@ -119,7 +119,7 @@ func (c *PartCtxStep) NonTreeAssignedPorts() []int {
 }
 
 // Step implements congest.StepProgram: it advances through the
-// preprocessing ops (the same linear script as BuildPartContext) and hands
+// preprocessing ops (a linear script) and hands
 // over to the done callback once the context is complete.
 func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
 	// The phase announcement condition is derived purely from serialized
@@ -204,7 +204,10 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 			for _, in := range inbox {
 				am, ok := in.Msg.(announceMsg)
 				if !ok {
-					continue // skewed-schedule tolerance (see stage2.go)
+					// After this round all communication is intra-part,
+					// so parts may proceed on skewed schedules; a stray
+					// message cannot reach here, but stay tolerant.
+					continue
 				}
 				c.intra[in.Port] = am.PartRoot == c.part.RootID
 				c.nbrID[in.Port] = am.ID
@@ -276,7 +279,7 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 	}
 }
 
-// feedBFS mirrors one wake of the blocking buildBFS loop; returns true at
+// feedBFS consumes one wake of the BFS-tree construction; returns true at
 // the deadline.
 func (c *PartCtxStep) feedBFS(api *congest.StepAPI, inbox []congest.Inbound) bool {
 	bestPort := -1
@@ -317,9 +320,9 @@ const (
 	geFinish
 )
 
-// gatherEvalNode is the step-native counterpart of the blocking sequence
-// ctx.Counts() → ctx.GatherGraph(m) → pred at the root →
-// ctx.BroadcastBit(bad), used by the hereditary-property tester.
+// gatherEvalNode counts the part, gathers the part graph at the root,
+// evaluates the predicate there, and broadcasts the root's bit; used by
+// the hereditary-property tester.
 type gatherEvalNode struct {
 	c    *PartCtxStep
 	pred func(g *graph.Graph) bool
@@ -443,8 +446,7 @@ func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) con
 }
 
 // buildPartGraph assembles the gathered edge list into the part's induced
-// graph on dense indices plus the index->id mapping (shared by the
-// blocking GatherGraph and the step-native gather).
+// graph on dense indices plus the index->id mapping.
 func buildPartGraph(collected []congest.Message, rootID int64) (*graph.Graph, []int64) {
 	idOf := make([]int64, 0, 16)
 	idx := make(map[int64]int, 16)

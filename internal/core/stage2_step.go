@@ -1,25 +1,81 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+
 	"repro/internal/congest"
+	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/planar"
 )
 
-// This file is the native StepProgram port of Stage II (stage2.go); its
-// per-node state is engine-"cold" (one object per node behind the
-// StepProgram interface, see DESIGN.md §8) and every per-wake access
-// goes through the slab-backed StepAPI. The
-// §2.2.1 preprocessing (budget, boundary round, BFS, edge assignment) is
-// the shared PartCtxStep prelude in partctx_step.go; the remaining
-// schedule here is a linear script of tree operations (driven by the step
-// state machines of package congest), single exchange rounds, and two
-// message-driven label-stream windows.
-// The port is round-exact: it sends the same messages in the same rounds,
-// draws the same per-node randomness in the same order, and calls Output
-// at the same rounds as the blocking implementation, so the hybrid tester
-// produces byte-identical Results (TestTesterEngineEquivalence). Local
-// computation is shared with the blocking path (embedRotationItems,
-// edgePositionsFromRotation, buildSampleChunks, collectSamples, ...).
+// This file implements Stage II, the per-part planarity check of §2.2, as
+// a StepProgram that every node enters right after Stage I. Parts proceed
+// independently (all communication is intra-part after one global
+// boundary round). Its per-node state is engine-"cold" (one object per
+// node behind the StepProgram interface, see DESIGN.md §8) and every
+// per-wake access goes through the slab-backed StepAPI. The steps are:
+//
+//	A-D  (§2.2.1) agree on a round budget from the Stage I tree depth, one
+//	     boundary round (intra-part ports, neighbor ids), the BFS tree
+//	     T_B^j rooted at the part root, levels and edge assignment — the
+//	     shared PartCtxStep prelude in partctx_step.go;
+//	E    count n(G^j) and m(G^j) and reject on the Euler bound;
+//	F    embed the part (Ghaffari–Haeupler substitution, DESIGN.md §3);
+//	G    label the BFS tree per the embedding (§2.2.2);
+//	H    exchange labels across non-tree edges;
+//	I-J  sample non-tree edges, gather and rebroadcast their label pairs;
+//	K    local violation checks (Definition 7).
+//
+// After the prelude the schedule is a linear script of tree operations
+// (driven by the step state machines of package congest), single
+// exchange rounds, and two message-driven label-stream windows. Results
+// are pinned by TestTesterEngineEquivalence.
+
+// StageIIOptions configures the per-part planarity check.
+type StageIIOptions struct {
+	// Epsilon is the distance parameter (drives the sample size).
+	Epsilon float64
+	// SampleCoeff scales the Theta(log n / eps) sample size. Zero means 2.
+	SampleCoeff float64
+	// EmbedMode selects what the substituted embedding step does on
+	// non-planar parts (paper-faithful "some ordering"); see
+	// planar.EmbedOrFallback. Zero means FallbackArbitrary.
+	EmbedMode planar.FallbackMode
+	// StrictEmbedReject rejects a part as soon as the embedding algorithm
+	// determines non-planarity, instead of producing a fallback ordering.
+	// The default (false) matches the paper's model, where the embedding
+	// black box may silently produce orderings on non-planar inputs.
+	StrictEmbedReject bool
+
+	// partCtxPhase and opsPhase are the obs phase IDs ("stage2/partctx",
+	// "stage2/ops") that the step machines announce on entry; zero (no
+	// probe configured) announces nothing. They are interned by
+	// Options.withDefaults before the run starts, travel by value through
+	// the Stage II handoff, and are deliberately not serialized in
+	// checkpoints: ResumeTester re-derives them from the caller's Options,
+	// so a resumed run attributes to the same IDs as the original.
+	partCtxPhase obs.PhaseID
+	opsPhase     obs.PhaseID
+}
+
+func (o StageIIOptions) withDefaults() StageIIOptions {
+	if o.SampleCoeff == 0 {
+		o.SampleCoeff = 2
+	}
+	if o.EmbedMode == 0 {
+		o.EmbedMode = planar.FallbackArbitrary
+	}
+	if o.Epsilon <= 0 || o.Epsilon > 1 {
+		panic("core: Epsilon must be in (0,1]")
+	}
+	return o
+}
 
 type s2op uint8
 
@@ -35,9 +91,10 @@ const (
 	o2Finish                 // local: violation checks + verdict
 )
 
-// NewStageIINode returns the native Stage II continuation for a node with
-// the given Stage I outcome. It is the step counterpart of RunStageII plus
-// the TestPlanarity verdict wrap-up. The §2.2.1 preprocessing runs as the
+// NewStageIINode returns the Stage II continuation for a node with the
+// given Stage I outcome; it outputs the node's verdict (reject when the
+// node holds evidence of non-planarity, accept otherwise). The §2.2.1
+// preprocessing runs as the
 // shared PartCtxStep prelude (partctx_step.go) — the same machine the
 // minor-free testers chain from — which then hands over to the Stage II
 // op script in the same round.
@@ -82,8 +139,8 @@ type stage2Node struct {
 	bid congest.BroadcastItemsDownStep
 	reg congest.Message // result register between dependent ops
 
-	// Mirror of the blocking stage2 state. edgePos and nbrLabels are
-	// port-indexed slices (the step port interns all per-port lookups).
+	// Part context and per-step results. edgePos and nbrLabels are
+	// port-indexed slices.
 	budget    int
 	maxDepth  int
 	intra     []bool
@@ -365,7 +422,7 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 			}
 
 		case o2Finish:
-			// TestPlanarity wrap-up: a Stage I rejection overrides, and
+			// Verdict wrap-up: a Stage I rejection overrides, and
 			// non-rejecting nodes accept.
 			v := s.verdict
 			if s.part.Rejected {
@@ -396,7 +453,10 @@ type edgeListMsg struct{ items []congest.Message }
 
 func (edgeListMsg) Bits() int { return 0 }
 
-// beginLabels starts the label wave (the step port of distributeLabels).
+// beginLabels starts the label wave, the labeling of §2.2.2: each node's
+// label is its parent's label extended by the clockwise index of its tree
+// edge (counted from the parent edge in the embedding's rotation). Labels
+// are chunked down the BFS tree.
 func (s *stage2Node) beginLabels(api *congest.StepAPI) {
 	s.edgePos = edgePositionsFromRotation(s.rotPorts, s.tree.ParentPort, api.Degree())
 	s.per = labelElemsPerChunkFor(api.BitBound(), api.N())
@@ -436,8 +496,8 @@ func (s *stage2Node) tailChunk(k int) []int32 {
 	return s.tails[k*tlen : (k+1)*tlen]
 }
 
-// startLabelStream mirrors sendToChildren: the first chunk goes out in the
-// current round, one chunk per round follows.
+// startLabelStream streams this node's label to its children: the first
+// chunk goes out in the current round, one chunk per round follows.
 func (s *stage2Node) startLabelStream(api *congest.StepAPI) {
 	s.buildTails(s.tree.ChildPorts)
 	s.ci = 0
@@ -464,7 +524,7 @@ func (s *stage2Node) sendLabelChunk(api *congest.StepAPI) {
 
 func (s *stage2Node) labelsWake() congest.Status {
 	if s.streaming {
-		return congest.Running() // one chunk per round (NextRound cadence)
+		return congest.Running() // one chunk per round
 	}
 	return congest.Sleep(s.deadline)
 }
@@ -495,7 +555,7 @@ func (s *stage2Node) feedLabels(api *congest.StepAPI, inbox []congest.Inbound) (
 		if s.ci < s.chunks {
 			s.sendLabelChunk(api)
 		} else {
-			s.streaming = false // one trailing round, as in the blocking loop
+			s.streaming = false // one trailing round
 		}
 	}
 	if !s.streaming && api.Round() >= s.deadline {
@@ -572,4 +632,288 @@ func (s *stage2Node) feedExchange(api *congest.StepAPI, inbox []congest.Inbound)
 	}
 	s.sendExchangeChunk(api)
 	return false, s.exchangeWake()
+}
+
+// embedRotationItems is the root-side embedding step: it builds the part graph from the gathered edge list,
+// runs the (substituted) embedding, and flattens the rotation system into
+// scatter items.
+func embedRotationItems(collected []congest.Message, rootID int64, partN int64, opts StageIIOptions) (out []congest.Message, strictFail bool) {
+	// Build the part graph on dense indices.
+	idOf := make([]int64, 0, partN)
+	idx := make(map[int64]int, partN)
+	add := func(id int64) int {
+		if i, ok := idx[id]; ok {
+			return i
+		}
+		idx[id] = len(idOf)
+		idOf = append(idOf, id)
+		return len(idOf) - 1
+	}
+	add(rootID)
+	type pair struct{ a, b int }
+	pairs := make([]pair, 0, len(collected))
+	for _, it := range collected {
+		e := it.(edgeItem)
+		pairs = append(pairs, pair{add(e.A), add(e.B)})
+	}
+	b := graph.NewBuilder(len(idOf))
+	for _, p := range pairs {
+		b.AddEdge(p.a, p.b)
+	}
+	pg := b.Build()
+	res := planar.EmbedOrFallback(pg, opts.EmbedMode)
+	if !res.Planar && opts.StrictEmbedReject {
+		return nil, true
+	}
+	for v := 0; v < pg.N(); v++ {
+		for i, w := range res.Embedding.Rotation(v) {
+			out = append(out, rotItem{Node: idOf[v], Idx: int32(i), Nbr: idOf[w]})
+		}
+	}
+	return out, false
+}
+
+// modeledEmbedRounds is the charged round cost O(D + min(log n, D)) of the
+// Ghaffari–Haeupler embedding substitution.
+func modeledEmbedRounds(n, maxDepth int) int {
+	logn := int(math.Ceil(math.Log2(float64(n + 1))))
+	mD := maxDepth
+	if logn < mD {
+		mD = logn
+	}
+	return 2*maxDepth + mD
+}
+
+// rotationPorts extracts this node's rotation from the scattered items,
+// mapping neighbor ids back to ports.
+func rotationPorts(got []congest.Message, id int64, intra []bool, nbrID []int64) []int {
+	portOf := make(map[int64]int, len(intra))
+	for p, ok := range intra {
+		if ok {
+			portOf[nbrID[p]] = p
+		}
+	}
+	type entry struct {
+		idx int32
+		nbr int64
+	}
+	var mine []entry
+	for _, it := range got {
+		if r, ok := it.(rotItem); ok && r.Node == id {
+			mine = append(mine, entry{r.Idx, r.Nbr})
+		}
+	}
+	slices.SortFunc(mine, func(a, b entry) int { return cmp.Compare(a.idx, b.idx) })
+	rotPorts := make([]int, 0, len(mine))
+	for _, e := range mine {
+		p, ok := portOf[e.nbr]
+		if !ok {
+			panic("core: rotation references unknown neighbor")
+		}
+		rotPorts = append(rotPorts, p)
+	}
+	return rotPorts
+}
+
+// labelElemsPerChunkFor is the number of label elements per chunk.
+func labelElemsPerChunkFor(bitBound, n int) int {
+	per := (bitBound - 16) / (congest.BitsForID(n) + 2)
+	if per < 1 {
+		per = 1
+	}
+	return per
+}
+
+// chunksPerLabelFor bounds the chunk count of any label in a part: label
+// length equals BFS depth, which is at most the part diameter <= budget.
+func chunksPerLabelFor(budget, per int) int {
+	return (budget+2)/per + 1
+}
+
+// sampleWant is the Theta(log n / eps) sample-size target of §2.2.2.
+func sampleWant(opts StageIIOptions, n int) float64 {
+	return opts.SampleCoeff * (math.Log(float64(n)) + 1) / opts.Epsilon
+}
+
+func isIn(xs []int, x int) bool {
+	for _, y := range xs {
+		if y == x {
+			return true
+		}
+	}
+	return false
+}
+
+// edgePositionsFromRotation computes, per intra-part port, the edge's
+// attachment position: the counterclockwise walk order starting from the
+// parent edge (the tree's outer-face walk order; see EdgePositions). All
+// intra-part edges get positions; tree children extend vertex labels,
+// non-tree edges extend attachment labels. The result is indexed by port
+// (deg entries, -1 on ports without a position).
+func edgePositionsFromRotation(rotPorts []int, parentPort, deg int) []int32 {
+	edgePos := make([]int32, deg)
+	for i := range edgePos {
+		edgePos[i] = -1
+	}
+	start := 0
+	if parentPort >= 0 {
+		for i, p := range rotPorts {
+			if p == parentPort {
+				start = i
+				break
+			}
+		}
+	}
+	for k := 0; k < len(rotPorts); k++ {
+		p := rotPorts[((start-k)%len(rotPorts)+len(rotPorts))%len(rotPorts)]
+		edgePos[p] = int32(k)
+		if parentPort < 0 {
+			edgePos[p] = int32(k) + 1
+		}
+	}
+	return edgePos
+}
+
+// assignedNonTreeEdges lists this node's assigned non-tree edges with
+// their attachment-label pairs. All of this node's attachment labels (own label plus one position
+// element) are carved out of a single backing array.
+func assignedNonTreeEdges(assigned []int, tree congest.Tree, nbrLabels []Label, label Label, edgePos []int32) []LabeledEdge {
+	cnt := 0
+	for _, p := range assigned {
+		if p == tree.ParentPort || isIn(tree.ChildPorts, p) {
+			continue
+		}
+		cnt++
+	}
+	if cnt == 0 {
+		return nil
+	}
+	out := make([]LabeledEdge, 0, cnt)
+	llen := len(label) + 1
+	backing := make([]int32, 0, cnt*llen)
+	for _, p := range assigned {
+		if p == tree.ParentPort || isIn(tree.ChildPorts, p) {
+			continue
+		}
+		nl := nbrLabels[p]
+		if nl == nil {
+			panic("core: missing neighbor label on assigned non-tree edge")
+		}
+		backing = append(append(backing, label...), edgePos[p])
+		mine := Label(backing[len(backing)-llen:])
+		out = append(out, NewLabeledEdge(mine, nl))
+	}
+	return out
+}
+
+// buildSampleChunks samples each assigned non-tree edge with probability p
+// and chunks the selected label pairs (the RNG draw order is part of the
+// deterministic schedule).
+func buildSampleChunks(mine []LabeledEdge, p float64, per int, id int64, rng *rand.Rand) []congest.Message {
+	var items []congest.Message
+	for ei, le := range mine {
+		if p < 1 && rng.Float64() >= p {
+			continue
+		}
+		elems := labelElems(le.U, le.V)
+		total := (len(elems) + per - 1) / per
+		for ci := 0; ci < total; ci++ {
+			lo := ci * per
+			hi := lo + per
+			if hi > len(elems) {
+				hi = len(elems)
+			}
+			items = append(items, &sampleChunk{
+				Owner: id,
+				EIdx:  int32(ei),
+				CIdx:  int32(ci),
+				Last:  ci == total-1,
+				Elems: elems[lo:hi],
+			})
+		}
+	}
+	return items
+}
+
+// sampleScratch pools the chunk-reassembly scratch of reassembleSamples.
+var sampleScratch = sync.Pool{
+	New: func() any { return new([]*sampleChunk) },
+}
+
+// collectSamples reassembles the scattered sample chunks into label pairs.
+// Every node of a part receives the
+// same stream of shared chunk boxes in the same order, so the reassembly
+// — dominated by the (owner, edge, chunk) sort — runs once per part: the
+// stream's first box hosts the memo and the rest of the part reuses it.
+// The returned edges are therefore shared, read-only data. A stream whose
+// first box is not a chunk (or a restored stream, whose boxes are decoded
+// per node) falls back to reassembling locally.
+func collectSamples(down []congest.Message) []LabeledEdge {
+	if len(down) == 0 {
+		return nil
+	}
+	if first, ok := down[0].(*sampleChunk); ok {
+		first.memoOnce.Do(func() { first.memo = reassembleSamples(down) })
+		return first.memo
+	}
+	return reassembleSamples(down)
+}
+
+// reassembleSamples is the uncached reassembly behind collectSamples.
+// Only the scratch is pooled; the returned edges own their label storage.
+func reassembleSamples(down []congest.Message) []LabeledEdge {
+	scratch := sampleScratch.Get().(*[]*sampleChunk)
+	chunks := (*scratch)[:0]
+	if cap(chunks) < len(down) {
+		chunks = make([]*sampleChunk, 0, len(down))
+	}
+	for _, it := range down {
+		if sc, ok := it.(*sampleChunk); ok {
+			chunks = append(chunks, sc)
+		}
+	}
+	defer func() {
+		clear(chunks) // drop chunk references before pooling
+		*scratch = chunks[:0]
+		sampleScratch.Put(scratch)
+	}()
+	// One global (owner, edge, chunk) sort replaces the per-edge grouping
+	// map; chunk keys are unique, so the grouped order is identical.
+	slices.SortFunc(chunks, func(a, b *sampleChunk) int {
+		if c := cmp.Compare(a.Owner, b.Owner); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.EIdx, b.EIdx); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.CIdx, b.CIdx)
+	})
+	// All reassembled label pairs share one backing array (the returned
+	// edges alias it), so reassembly costs two allocations per call, not
+	// two per sample.
+	total := 0
+	for _, c := range chunks {
+		total += len(c.Elems)
+	}
+	backing := make([]int32, 0, total)
+	var out []LabeledEdge
+	for lo := 0; lo < len(chunks); {
+		hi := lo + 1
+		for hi < len(chunks) && chunks[hi].Owner == chunks[lo].Owner && chunks[hi].EIdx == chunks[lo].EIdx {
+			hi++
+		}
+		cs := chunks[lo:hi]
+		lo = hi
+		if !cs[len(cs)-1].Last {
+			continue // truncated edge; skip
+		}
+		start := len(backing)
+		for _, c := range cs {
+			backing = append(backing, c.Elems...)
+		}
+		if le, ok := parseLabelPair(backing[start:]); ok {
+			out = append(out, le)
+		}
+	}
+	return out
 }

@@ -230,15 +230,3 @@ func TestStageIBatchingEquivalence(t *testing.T) {
 		}
 	})
 }
-
-func equalPorts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

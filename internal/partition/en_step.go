@@ -7,20 +7,49 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the native StepProgram port of the Elkin–Neiman-style
-// random-shift clustering baseline (en.go). The blocking program is a
-// single wait-claim-flood loop, so the port is a five-state machine whose
-// transitions replicate the blocking control flow yield for yield: every
-// SleepUntil becomes a Sleep status, every NextRound a Running status, and
-// the one ExpFloat64 draw happens at the same program point (the first
-// wake). Both execution models therefore produce byte-identical Results
-// for a fixed seed (TestENEngineEquivalence).
+// This file implements the random-shift clustering baseline discussed in
+// §1.1 of the paper: the Elkin–Neiman/Miller–Peng–Xu style partition that
+// yields parts of diameter O(log(n)/eps) with at most eps*m cut edges in
+// expectation, in O(log(n)/eps) rounds. Replacing Stage I with it gives
+// the O(log^2 n * poly(1/eps))-round tester the paper compares against
+// (experiment E11).
+//
+// Every node draws an exponential shift delta_v with rate beta = eps/2
+// (one ExpFloat64 draw, at its first wake) and wakes at round
+// cap-floor(delta_v); the first claim to reach a node (ties broken by
+// priority, then root id) wins, and claims flood outward one hop per
+// round. An acknowledgement round then tells every parent its children.
+// The node program is a small state machine over that wait-claim-flood
+// loop.
+
+// claimMsg floods a cluster claim: the claiming root and a tie-breaking
+// priority (quantized fractional part of the exponential shift).
+type claimMsg struct {
+	Root int64
+	Prio int64
+}
+
+func (m claimMsg) Bits() int { return 2 + bitsVal(m.Root) + bitsVal(m.Prio) }
+
+// ackMsg tells a neighbor it became this node's cluster-tree parent.
+type ackMsg struct{}
+
+func (ackMsg) Bits() int { return 2 }
+
+// ENShiftCap returns the shift truncation bound: exponential shifts exceed
+// (2/beta)*ln(n) with probability at most 1/n^2.
+func ENShiftCap(n int, beta float64) int {
+	if n < 2 {
+		return 1
+	}
+	return int(math.Ceil(2 * math.Log(float64(n)) / beta))
+}
 
 type enState uint8
 
 const (
 	enUnclaimed enState = iota // parked until the shifted start or a claim
-	enFlooded                  // claimed and flooded this round (NextRound)
+	enFlooded                  // claimed and flooded this round (Running)
 	enClaimed                  // claimed, parked until the deadline
 	enAcked                    // ack sent, collecting child notices
 )
@@ -43,8 +72,9 @@ type enNode struct {
 	childPorts []int
 }
 
-// NewENNode returns the native StepProgram for one node of the
-// Elkin–Neiman baseline. onDone is invoked exactly once, at the round the
+// NewENNode returns the StepProgram for one node of the Elkin–Neiman
+// baseline. The Outcome has the same shape as Stage I's, so Stage II runs
+// unchanged on the resulting parts. onDone is invoked exactly once, at the round the
 // clustering completes at this node, with the node's Outcome; its Status
 // becomes the node's next scheduling instruction (Done for standalone
 // runs, BecomeStep(stageII) for the full tester).
@@ -60,7 +90,7 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 	}
 	switch e.st {
 	case enUnclaimed:
-		// A SleepUntil wake: adopt the best incoming claim, if any.
+		// A Sleep wake: adopt the best incoming claim, if any.
 		best := -1
 		for i, in := range inbox {
 			cm, ok := in.Msg.(claimMsg)
@@ -85,7 +115,7 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 			e.st = enFlooded
 			return congest.Running()
 		}
-		// Loop top of the blocking program.
+		// Loop top: the deadline ends the claim window.
 		if api.Round() >= e.deadline {
 			return e.ackPhase(api)
 		}
@@ -105,7 +135,7 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 		return congest.Sleep(until)
 
 	case enFlooded:
-		// The NextRound after flooding; its inbox is discarded.
+		// The round after flooding; its inbox is discarded.
 		if api.Round() >= e.deadline {
 			return e.ackPhase(api)
 		}
@@ -133,8 +163,8 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 	}
 }
 
-// init mirrors the entry of RunElkinNeiman: validate eps, draw the
-// exponential shift, and derive the schedule constants.
+// init runs at the node's first wake: validate eps, draw the exponential
+// shift, and derive the schedule constants.
 func (e *enNode) init(api *congest.StepAPI) {
 	if e.eps <= 0 || e.eps > 1 {
 		panic("partition: eps must be in (0,1]")
@@ -167,10 +197,9 @@ func (e *enNode) ackPhase(api *congest.StepAPI) congest.Status {
 	return congest.Running()
 }
 
-// CollectENStep runs the native step-model baseline partition on g (the
-// step counterpart of CollectENBlocking; both produce byte-identical
-// results for a fixed seed).
-func CollectENStep(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
+// CollectEN runs the Elkin–Neiman-style baseline partition on g and
+// returns the per-node outcomes, the assigned ids, and the run result.
+func CollectEN(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
 	ids := permIDs(g.N(), seed)
 	outs := make([]*Outcome, g.N())
 	res, err := congest.RunStep(congest.Config{Graph: g, Seed: seed, IDs: ids}, func(node int) congest.StepProgram {

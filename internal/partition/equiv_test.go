@@ -34,7 +34,7 @@ func TestStageIEngineEquivalence(t *testing.T) {
 	}
 	schedules := []Schedule{PaperSchedule, PracticalSchedule}
 	variants := []Variant{Deterministic, Randomized}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for _, sched := range schedules {
 			for _, variant := range variants {
@@ -42,17 +42,14 @@ func TestStageIEngineEquivalence(t *testing.T) {
 					for _, w := range []int{1, 2} {
 						opts := Options{Epsilon: 0.25, Schedule: sched, Variant: variant}
 						key := fmt.Sprintf("%s/%v/variant%d/seed%d/w%d", fam.name, sched, variant, seed, w)
-						outs, res, err := blockingStageI(fam.g, opts, seed, w)
-						bLines = append(bLines, goldenLine(key, res, err, outs))
-						outs, _, res, err = runStageI(fam.g, opts, seed, w, congest.CheckpointConfig{}, nil)
-						sLines = append(sLines, goldenLine(key, res, err, outs))
+						outs, _, res, err := runStageI(fam.g, opts, seed, w, congest.CheckpointConfig{}, nil)
+						lines = append(lines, goldenLine(key, res, err, outs))
 					}
 				}
 			}
 		}
 	}
-	checkGolden(t, "stage1.golden", bLines)
-	checkGolden(t, "stage1.golden", sLines)
+	checkGolden(t, "stage1.golden", lines)
 }
 
 // TestENEngineEquivalence does the same for the Elkin–Neiman baseline
@@ -67,48 +64,19 @@ func TestENEngineEquivalence(t *testing.T) {
 		{"tree-plus-edges", graph.TreePlusRandomEdges(60, 15, rand.New(rand.NewSource(3)))},
 		{"star", graph.Star(21)},
 	}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for _, eps := range []float64{0.25, 0.5} {
 			for seed := int64(0); seed < 3; seed++ {
 				for _, w := range []int{1, 2} {
 					key := fmt.Sprintf("%s/eps%v/seed%d/w%d", fam.name, eps, seed, w)
-					outs, res, err := blockingEN(fam.g, eps, seed, w)
-					bLines = append(bLines, goldenLine(key, res, err, outs))
-					outs, res, err = runEN(fam.g, eps, seed, w)
-					sLines = append(sLines, goldenLine(key, res, err, outs))
+					outs, res, err := runEN(fam.g, eps, seed, w)
+					lines = append(lines, goldenLine(key, res, err, outs))
 				}
 			}
 		}
 	}
-	checkGolden(t, "en.golden", bLines)
-	checkGolden(t, "en.golden", sLines)
-}
-
-// blockingStageI runs Stage I on the blocking execution model.
-func blockingStageI(g *graph.Graph, opts Options, seed int64, workers int) ([]*Outcome, *congest.Result, error) {
-	outs := make([]*Outcome, g.N())
-	res, err := congest.Run(congest.Config{
-		Graph:        g,
-		Seed:         seed,
-		IDs:          permIDs(g.N(), seed),
-		StopOnReject: true,
-		MaxRounds:    1 << 40,
-		Workers:      workers,
-	}, func(api *congest.API) {
-		outs[api.Index()] = RunStageI(api, opts)
-	})
-	return outs, res, err
-}
-
-// blockingEN runs the baseline on the blocking execution model.
-func blockingEN(g *graph.Graph, eps float64, seed int64, workers int) ([]*Outcome, *congest.Result, error) {
-	outs := make([]*Outcome, g.N())
-	cfg := congest.Config{Graph: g, Seed: seed, IDs: permIDs(g.N(), seed), Workers: workers}
-	res, err := congest.Run(cfg, func(api *congest.API) {
-		outs[api.Index()] = RunElkinNeiman(api, eps)
-	})
-	return outs, res, err
+	checkGolden(t, "en.golden", lines)
 }
 
 // runEN is CollectEN with an explicit engine worker count.
@@ -122,6 +90,18 @@ func runEN(g *graph.Graph, eps float64, seed int64, workers int) ([]*Outcome, *c
 		})
 	})
 	return outs, res, err
+}
+
+func equalPorts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // goldenLine formats one case: the run error, every Metrics field, and
@@ -167,12 +147,12 @@ func checkGolden(t *testing.T, file string, lines []string) {
 	}
 }
 
-// TestStageIStepValidates runs the native Stage I on a larger grid and
+// TestStageIStepValidates runs Stage I on a larger grid and
 // checks the structural partition guarantees end to end.
 func TestStageIStepValidates(t *testing.T) {
 	g := graph.Grid(10, 10)
 	opts := Options{Epsilon: 0.25, Schedule: PracticalSchedule}
-	outs, ids, res, err := CollectStageIStep(g, opts, 5)
+	outs, ids, res, err := CollectStageI(g, opts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

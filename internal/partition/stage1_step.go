@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync/atomic"
 
@@ -11,23 +12,36 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the native StepProgram port of Stage I (stage1.go), in both
-// variants. The interpreter state below is the per-node "cold" side of
-// the engine's memory model (DESIGN.md §8): one heap object per node
-// behind the StepProgram interface, reached once per wake through the
+// This file implements Stage I, the partitioning algorithm of Theorem 3
+// (Deterministic variant) and Theorem 4 (Randomized variant), as a
+// StepProgram. Every node of the network starts it at the same round with
+// the same options. When it completes, nodes of a part share a rooted
+// spanning tree (Lemma 6) and know their part root; parts that exhausted
+// the phase schedule or exited early are final. The Rejected flag is set
+// at nodes holding evidence that some contraction minor of the input has
+// arboricity above alpha (Definition 2 failure) — for alpha = 3 this
+// certifies non-planarity (one-sided).
+//
+// The interpreter state below is the per-node "cold" side of the
+// engine's memory model (DESIGN.md §8): one heap object per node behind
+// the StepProgram interface, reached once per wake through the
 // slab-backed StepAPI, with its own per-wake-hot fields (pc, inOp, the
-// embedded bd/cv machines) declared up front. Every node executes the same static script of
-// budget-synchronized operations per phase — broadcasts, convergecasts,
-// single cross-boundary rounds, and the contraction flip window — so the
-// whole phase schedule compiles to a flat op list interpreted by a small
-// state machine. The Deterministic variant compiles the forest
-// decomposition into the script; the Randomized variant compiles the
-// weighted-edge-selection trials (select_random.go) instead, drawing
-// per-node randomness in the same program order as the blocking
-// implementation. The port is round-exact: it sends the same messages in
-// the same rounds (and calls Output at the same rounds) as the blocking
-// implementation, so both execution models produce byte-identical Results
-// for a fixed seed (verified by TestStageIEngineEquivalence).
+// embedded bd/cv machines) declared up front. Every node executes the
+// same static script of budget-synchronized operations per phase —
+// broadcasts, convergecasts, single cross-boundary rounds, and the
+// contraction flip window — so the whole phase schedule compiles to a
+// flat op list interpreted by a small state machine. The Deterministic
+// variant compiles the forest decomposition into the script; the
+// Randomized variant compiles the weighted-edge-selection trials of §4
+// instead: in each of Theta(log 1/delta) trials the part draws a
+// uniformly random incident cut edge (the tree-sampling procedure of
+// §4.1, combineTrial) and evaluates the drawn target's weight, and the
+// maximum-weight draw wins. Results are pinned by
+// TestStageIEngineEquivalence.
+
+// treeHeightBound is the height bound of the marked subtrees T (the paper
+// cites height <= 10 from Czygrinow et al.); we use a small safety margin.
+const treeHeightBound = 12
 
 type sOpKind uint8
 
@@ -86,8 +100,12 @@ const (
 	tTrialWeight      // cvg: w(P, target) evaluation (arg = trial)
 )
 
-// fFetch sites expand to the op triple [bcast own | cross forward | cvg
-// pickup] sharing the fFetch mechanics of state.go.
+// fFetch sites retrieve a part-level value from the F-parent part and
+// expand to the op triple [bcast own | cross forward | cvg pickup]: every
+// part broadcasts its own value, every node forwards it across F-child
+// ports, and the designated node u^j convergecasts what it received from
+// v^j. At the root, the result is the parent part's value, or noneMsg
+// when the part has no F-parent. Costs 2D+1 rounds.
 
 type sOp struct {
 	kind sOpKind
@@ -260,7 +278,7 @@ func NewStageIPlan(opts Options, n int) *StageIPlan {
 // NewNode creates the StepProgram for one node. onDone is invoked exactly
 // once, at the round Stage I completes at this node, with the node's
 // Outcome; its Status becomes the node's next scheduling instruction
-// (Done for standalone runs, Become(stageII) for the full tester).
+// (Done for standalone runs, BecomeStep(stageII) for the full tester).
 func (pl *StageIPlan) NewNode(onDone func(api *congest.StepAPI, out *Outcome) congest.Status) congest.StepProgram {
 	s := pl.allocNode()
 	s.plan = pl
@@ -281,9 +299,10 @@ func (pl *StageIPlan) allocNode() *stageINode {
 	return s
 }
 
-// stageINode is the per-node interpreter state plus the mirror of the
-// blocking state struct (state.go), with port-indexed slices in place of
-// maps and reusable scratch buffers in place of per-phase allocation.
+// stageINode is the per-node interpreter state plus the node's Stage I
+// state, with port-indexed slices and reusable scratch buffers in place
+// of per-phase allocation. Fields prefixed "part" are only meaningful at
+// the part root, which acts for the auxiliary node v(P).
 type stageINode struct {
 	// The dispatch cluster — everything Step touches before entering an
 	// op — is packed into the struct's first cache line: with ~19 lines
@@ -313,7 +332,7 @@ type stageINode struct {
 	bd congest.BroadcastDownStep
 	cv congest.ConvergecastStep
 
-	// Mirror of the blocking per-node state.
+	// Per-node Stage I state.
 	rootID   int64
 	tree     congest.Tree
 	rejected bool
@@ -543,8 +562,8 @@ func (s *stageINode) initNode(api *congest.StepAPI) {
 	}
 }
 
-// beginPhase mirrors state.resetPhase plus the per-phase bookkeeping of
-// RunStageI's loop.
+// beginPhase resets the per-phase state and does the per-phase
+// bookkeeping of the phase schedule.
 func (s *stageINode) beginPhase(api *congest.StepAPI) {
 	s.phase++
 	s.phasesRun++
@@ -597,7 +616,7 @@ func (s *stageINode) beginPhase(api *congest.StepAPI) {
 }
 
 // markedChildPorts iterates ports with a marked child edge in ascending
-// order (the slice mirror of state.markedChildPorts).
+// order.
 func (s *stageINode) eachMarkedChild(f func(p int)) {
 	for p, m := range s.fChildMark {
 		if m {
@@ -607,7 +626,7 @@ func (s *stageINode) eachMarkedChild(f func(p int)) {
 }
 
 // prepBcast returns the root payload for a broadcast op (non-root values
-// are ignored by BroadcastDown, mirroring the blocking call sites). All
+// are ignored by BroadcastDownStep). All
 // prepare-time side effects are root-only, so non-root nodes skip payload
 // construction entirely and avoid the interface boxing.
 func (s *stageINode) prepBcast(api *congest.StepAPI, op *sOp) congest.Message {
@@ -847,10 +866,10 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 		}
 		return own, s.fdCombine
 	case tTrialPick:
-		// Mirror of selectRandomized step (1): each node draws a uniform
-		// incident cut edge; the convergecast performs the weighted
-		// reservoir pick (combineTrial draws the same randomness in the
-		// same program order as the blocking combiner).
+		// Trial step (1): each node draws a uniform incident cut edge;
+		// the convergecast performs the weighted reservoir pick
+		// (combineTrial; the draw order is part of the deterministic
+		// schedule).
 		s.crossScratch = s.crossScratch[:0]
 		for p, c := range s.cross {
 			if c {
@@ -1065,8 +1084,9 @@ func (s *stageINode) absorbCvg(api *congest.StepAPI, op *sOp, agg congest.Messag
 	}
 }
 
-// fdRootDecision mirrors the root decision logic of the forest
-// decomposition super-round loop.
+// fdRootDecision is the root decision logic of the forest decomposition
+// super-round loop (the Barenboim–Elkin peeling emulated on the auxiliary
+// graph G_i, §2.1.5).
 func (s *stageINode) fdRootDecision(api *congest.StepAPI, agg decompAgg, l int) {
 	alpha := s.plan.opts.Alpha
 	if s.fdActive {
@@ -1099,8 +1119,9 @@ func (s *stageINode) fdRootDecision(api *congest.StepAPI, agg decompAgg, l int) 
 	}
 }
 
-// fdFinish mirrors the post-loop logic of forestDecomposition (reject
-// evidence or conservative resolution) plus storeOuts/selectHeaviest.
+// fdFinish is the post-loop logic of the forest decomposition: reject
+// evidence or conservative resolution, then record the chosen out-edge
+// candidates (the heaviest one wins) at the root.
 func (s *stageINode) fdFinish(api *congest.StepAPI) {
 	if !s.tree.IsRoot() {
 		return
@@ -1359,8 +1380,7 @@ func (s *stageINode) mergeFD(own decompAgg, children []congest.Message) congest.
 }
 
 // prepCross performs this node's sends for a single cross-boundary round
-// (the step counterpart of state.crossRound call sites, sends in
-// ascending port order).
+// (sends in ascending port order).
 func (s *stageINode) prepCross(api *congest.StepAPI, op *sOp) {
 	if op.ff {
 		for p, f := range s.fChild {
@@ -1553,7 +1573,7 @@ func (s *stageINode) feedFlip(api *congest.StepAPI, inbox []congest.Inbound) boo
 }
 
 // insertPortSorted inserts p into the ascending port list (the slice
-// equivalent of append+sort.Ints in the blocking contract).
+// equivalent of append+sort.Ints).
 func insertPortSorted(ports []int, p int) []int {
 	i := len(ports)
 	for i > 0 && ports[i-1] > p {
@@ -1565,6 +1585,118 @@ func insertPortSorted(ports []int, p int) []int {
 	return ports
 }
 
+// removePort deletes p from the port list in place.
+func removePort(ports *[]int, p int) {
+	out := (*ports)[:0]
+	for _, q := range *ports {
+		if q != p {
+			out = append(out, q)
+		}
+	}
+	*ports = out
+}
+
+// combineFirst picks the first non-none contribution (used when exactly
+// one node of the part holds the value, e.g. u^j).
+func combineFirst(own congest.Message, children []congest.Message) congest.Message {
+	if _, none := own.(noneMsg); !none {
+		return own
+	}
+	for _, c := range children {
+		if _, none := c.(noneMsg); !none {
+			return c
+		}
+	}
+	return noneMsg{}
+}
+
+// combineSum adds valMsg contributions.
+func combineSum(own congest.Message, children []congest.Message) congest.Message {
+	s := own.(valMsg).V
+	for _, c := range children {
+		s += c.(valMsg).V
+	}
+	return vmsg(s)
+}
+
+// combineMin keeps the minimum valMsg, treating noneMsg as +inf.
+func combineMin(own congest.Message, children []congest.Message) congest.Message {
+	best, ok := int64(0), false
+	if v, isVal := own.(valMsg); isVal {
+		best, ok = v.V, true
+	}
+	for _, c := range children {
+		if v, isVal := c.(valMsg); isVal {
+			if !ok || v.V < best {
+				best, ok = v.V, true
+			}
+		}
+	}
+	if !ok {
+		return noneMsg{}
+	}
+	return vmsg(best)
+}
+
+// combineOr ORs boolean valMsg contributions (0/1).
+func combineOr(own congest.Message, children []congest.Message) congest.Message {
+	v := own.(valMsg).V
+	for _, c := range children {
+		if c.(valMsg).V != 0 {
+			v = 1
+		}
+	}
+	if v != 0 {
+		v = 1
+	}
+	return vmsg(v)
+}
+
+// combinePairSum adds pairMsg contributions componentwise.
+func combinePairSum(own congest.Message, children []congest.Message) congest.Message {
+	p := own.(pairMsg)
+	for _, c := range children {
+		q := c.(pairMsg)
+		p.A += q.A
+		p.B += q.B
+	}
+	if p == (pairMsg{}) {
+		return zeroPair
+	}
+	return p
+}
+
+// combineTrial is the weighted reservoir combiner of the tree-sampling
+// procedure (§4.1): it picks one candidate with probability proportional to its subtree
+// cross-degree and re-labels the winner with the subtree total.
+func combineTrial(rng *rand.Rand, o congest.Message, ch []congest.Message) congest.Message {
+	cands := make([]trialMsg, 0, len(ch)+1)
+	if tm, ok := o.(trialMsg); ok {
+		cands = append(cands, tm)
+	}
+	for _, c := range ch {
+		if tm, ok := c.(trialMsg); ok {
+			cands = append(cands, tm)
+		}
+	}
+	if len(cands) == 0 {
+		return noneMsg{}
+	}
+	total := int64(0)
+	for _, c := range cands {
+		total += c.Degree
+	}
+	r := rng.Int63n(total)
+	for _, c := range cands {
+		if r < c.Degree {
+			c.Degree = total
+			return c
+		}
+		r -= c.Degree
+	}
+	panic("partition: weighted pick out of range")
+}
+
 // Interned empty payloads: the dominant contributions on large parts are
 // all-zero, and reusing one boxed value keeps the hot combiners
 // allocation-free without changing any message's contents or size.
@@ -1574,8 +1706,7 @@ var (
 	emptyDecomp   congest.Message = decompAgg{}
 )
 
-// combineColorSums merges colorSums contributions (shared with the
-// blocking collectColorSums).
+// combineColorSums merges colorSums contributions.
 func combineColorSums(own congest.Message, children []congest.Message) congest.Message {
 	sum := own.(colorSums)
 	for _, c := range children {
@@ -1590,11 +1721,9 @@ func combineColorSums(own congest.Message, children []congest.Message) congest.M
 	return sum
 }
 
-// CollectStageIStep runs the native step-model Stage I on g and returns
-// the per-node outcomes, the assigned ids, and the run result (the step
-// counterpart of CollectStageI; both produce byte-identical results for a
-// fixed seed).
-func CollectStageIStep(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
+// CollectStageI runs Stage I on g and returns the per-node outcomes, the
+// assigned ids, and the run result.
+func CollectStageI(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
 	ids := permIDs(g.N(), seed)
 	outs := make([]*Outcome, g.N())
 	plan := NewStageIPlan(opts, g.N())

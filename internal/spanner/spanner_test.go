@@ -32,7 +32,7 @@ func TestSpannerEngineEquivalence(t *testing.T) {
 		{"tree", graph.RandomTree(40, rng)},
 	}
 	variants := []partition.Variant{partition.Deterministic, partition.Randomized}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for _, variant := range variants {
 			for seed := int64(0); seed < 2; seed++ {
@@ -40,16 +40,13 @@ func TestSpannerEngineEquivalence(t *testing.T) {
 					key := fmt.Sprintf("%s/variant%d/seed%d/w%d", fam.name, variant, seed, w)
 					opts := Options{Epsilon: 0.3, Workers: w, Partition: partition.Options{
 						Epsilon: 0.3, Variant: variant, Schedule: partition.PracticalSchedule}}
-					bsp, bviews, bm, bErr := CollectBlocking(fam.g, opts, seed)
-					bLines = append(bLines, goldenLine(key, bsp, bviews, bm, bErr))
-					nsp, nviews, nm, nErr := Collect(fam.g, opts, seed)
-					sLines = append(sLines, goldenLine(key, nsp, nviews, nm, nErr))
+					sp, views, m, err := Collect(fam.g, opts, seed)
+					lines = append(lines, goldenLine(key, sp, views, m, err))
 				}
 			}
 		}
 	}
-	checkGolden(t, "spanner.golden", bLines)
-	checkGolden(t, "spanner.golden", sLines)
+	checkGolden(t, "spanner.golden", lines)
 }
 
 // goldenLine formats one case: the run error, every Metrics field, and

@@ -30,7 +30,7 @@ func TestMinorFreeEngineEquivalence(t *testing.T) {
 		{"odd-chords", graph.GridWithOddChords(6, 6, 5, rand.New(rand.NewSource(3)))},       // rejects bipartiteness
 	}
 	variants := []partition.Variant{partition.Deterministic, partition.Randomized}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for _, prop := range []Property{CycleFreeness, Bipartiteness} {
 			for _, variant := range variants {
@@ -39,17 +39,14 @@ func TestMinorFreeEngineEquivalence(t *testing.T) {
 						key := fmt.Sprintf("%s/%v/variant%d/seed%d/w%d", fam.name, prop, variant, seed, w)
 						opts := Options{Epsilon: 0.2, Workers: w, Partition: partition.Options{
 							Epsilon: 0.2, Variant: variant, Schedule: partition.PracticalSchedule}}
-						br, bErr := RunBlocking(fam.g, prop, opts, seed)
-						bLines = append(bLines, goldenLine(key, br, bErr))
-						nr, nErr := Run(fam.g, prop, opts, seed)
-						sLines = append(sLines, goldenLine(key, nr, nErr))
+						r, err := Run(fam.g, prop, opts, seed)
+						lines = append(lines, goldenLine(key, r, err))
 					}
 				}
 			}
 		}
 	}
-	checkGolden(t, "minorfree.golden", bLines)
-	checkGolden(t, "minorfree.golden", sLines)
+	checkGolden(t, "minorfree.golden", lines)
 }
 
 // TestHereditaryEngineEquivalence does the same for the generic
@@ -64,22 +61,19 @@ func TestHereditaryEngineEquivalence(t *testing.T) {
 		{"cycle", graph.Cycle(25)}, // accepts
 		{"grid", graph.Grid(6, 6)}, // rejects (not outerplanar)
 	}
-	var bLines, sLines []string
+	var lines []string
 	for _, fam := range families {
 		for seed := int64(0); seed < 2; seed++ {
 			for _, w := range []int{1, 2} {
 				key := fmt.Sprintf("%s/seed%d/w%d", fam.name, seed, w)
 				opts := Options{Epsilon: 0.25, Workers: w, Partition: partition.Options{
 					Epsilon: 0.25, Schedule: partition.PracticalSchedule}}
-				br, bErr := RunHereditaryBlocking(fam.g, planar.IsOuterplanar, opts, seed)
-				bLines = append(bLines, goldenLine(key, br, bErr))
-				nr, nErr := RunHereditary(fam.g, planar.IsOuterplanar, opts, seed)
-				sLines = append(sLines, goldenLine(key, nr, nErr))
+				r, err := RunHereditary(fam.g, planar.IsOuterplanar, opts, seed)
+				lines = append(lines, goldenLine(key, r, err))
 			}
 		}
 	}
-	checkGolden(t, "hereditary.golden", bLines)
-	checkGolden(t, "hereditary.golden", sLines)
+	checkGolden(t, "hereditary.golden", lines)
 }
 
 // goldenLine formats one case: the run error, or the verdict summary

@@ -2,11 +2,8 @@
 
 // Command checkdoc fails when an exported identifier in the given
 // packages lacks a doc comment. It is the docs-hygiene gate wired into
-// CI (.github/workflows/ci.yml) for the packages whose godoc the
-// repository commits to keeping complete: internal/congest,
-// internal/graphio, internal/service, internal/faultpoint,
-// internal/partition, internal/core, internal/obs, internal/oracle,
-// and internal/corpus.
+// CI (.github/workflows/ci.yml). With no arguments it checks every
+// package directory under internal/.
 //
 // Usage: go run scripts/checkdoc.go [package-dir ...]
 //
@@ -30,10 +27,15 @@ import (
 func main() {
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
-		dirs = []string{
-			"internal/congest", "internal/graphio", "internal/service",
-			"internal/faultpoint", "internal/partition", "internal/core",
-			"internal/obs", "internal/oracle", "internal/corpus",
+		matches, err := filepath.Glob("internal/*")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "checkdoc: %v\n", err)
+			os.Exit(2)
+		}
+		for _, m := range matches {
+			if fi, err := os.Stat(m); err == nil && fi.IsDir() {
+				dirs = append(dirs, m)
+			}
 		}
 	}
 	bad := 0
