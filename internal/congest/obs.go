@@ -184,68 +184,55 @@ func (e *engine) finishObs() obs.PhaseBreakdown {
 	return bd
 }
 
-// encodeObsSection appends the attribution state to a snapshot: the
-// interned phase names (in PhaseID order), the per-phase accumulators,
-// and the current phase. Always writes the presence flag, so the layout
-// is identical with and without a probe. WallNs is carried so a resumed
-// run's breakdown approximates the continuous run's wall column; every
-// other column is exact (and pinned byte-identical by the
-// instrumentation-soundness test).
-func (e *engine) encodeObsSection(enc *SnapEncoder) {
-	if e.probe == nil {
-		enc.Bool(false)
+// snapObs codes the attribution state of a snapshot: the interned phase
+// names (in PhaseID order), the per-phase accumulators, and the current
+// phase. The presence flag is always coded, so the layout is identical
+// with and without a probe. WallNs is carried so a resumed run's
+// breakdown approximates the continuous run's wall column; every other
+// column is exact (and pinned byte-identical by the
+// instrumentation-soundness test). On restore, phase names are
+// re-interned through the resumed run's probe (so IDs stay correct even
+// if the resumed run interned phases in a different order); when the
+// resumed run has no probe the section is decoded and discarded.
+func (e *engine) snapObs(c *SnapCodec) {
+	present := e.probe != nil
+	c.Bool(&present)
+	if !present {
 		return
 	}
-	enc.Bool(true)
-	names := e.probe.Names()
-	e.pStat(int32(len(names) - 1))
-	enc.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		enc.Bytes([]byte(name))
+	var names []string
+	var stats []obs.PhaseStat
+	var cur uint64
+	if !c.decode {
+		names = e.probe.Names()
+		e.pStat(int32(len(names) - 1))
+		stats, cur = e.pStats[:len(names)], uint64(e.pPhase)
 	}
-	for id := range names {
-		st := e.pStats[id]
-		enc.Varint(st.WallNs)
-		enc.Varint(st.Wakes)
-		enc.Varint(st.Barriers)
-		enc.Varint(st.Messages)
-		enc.Varint(st.Bits)
-		enc.Varint(st.Windows)
-	}
-	enc.Uvarint(uint64(e.pPhase))
-}
-
-// decodeObsSection restores the attribution state written by
-// encodeObsSection. Phase names are re-interned through the resumed
-// run's probe (so IDs stay correct even if the resumed run interned
-// phases in a different order); when the resumed run has no probe the
-// section is decoded and discarded.
-func (e *engine) decodeObsSection(d *SnapDecoder) {
-	if !d.Bool() {
-		return
-	}
-	count := d.Uvarint()
-	if d.Err() != nil || count > uint64(d.Remaining()) {
-		d.Uvarint() // force a sticky error on a hostile count
-		return
-	}
-	names := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		names = append(names, string(d.Bytes()))
-	}
-	stats := make([]obs.PhaseStat, count)
-	for i := range stats {
-		stats[i] = obs.PhaseStat{
-			WallNs:   d.Varint(),
-			Wakes:    d.Varint(),
-			Barriers: d.Varint(),
-			Messages: d.Varint(),
-			Bits:     d.Varint(),
-			Windows:  d.Varint(),
+	count := uint64(len(names))
+	c.Uvarint(&count)
+	if c.decode {
+		if c.err != nil || count > uint64(c.Remaining()) {
+			c.fail("phase count")
+			return
 		}
+		names, stats = make([]string, count), make([]obs.PhaseStat, count)
 	}
-	cur := d.Uvarint()
-	if d.Err() != nil || e.probe == nil {
+	for i := range names {
+		b := []byte(names[i])
+		c.Bytes(&b)
+		names[i] = string(b)
+	}
+	for i := range stats {
+		st := &stats[i]
+		c.Varint(&st.WallNs)
+		c.Varint(&st.Wakes)
+		c.Varint(&st.Barriers)
+		c.Varint(&st.Messages)
+		c.Varint(&st.Bits)
+		c.Varint(&st.Windows)
+	}
+	c.Uvarint(&cur)
+	if !c.decode || c.err != nil || e.probe == nil {
 		return
 	}
 	for i, name := range names {

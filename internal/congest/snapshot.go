@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -54,25 +55,26 @@ var ErrBadSnapshot = errors.New("congest: invalid snapshot")
 var ErrDeadlineExceeded = errors.New("congest: deadline exceeded")
 
 // Snapshottable is implemented by step programs that can serialize their
-// state into a checkpoint. EncodeState writes every field Step can have
-// mutated; SnapshotKind tags the encoding so the restore callback can
-// dispatch to the right decoder. Function-valued fields cannot be
-// serialized: owners must reinstall them on the first Step after a
-// restore (the tree-machine state setters keep such fields out of the
-// encoded state on purpose).
+// state into a checkpoint. SnapState codes every field Step can have
+// mutated, in one order for both directions; SnapshotKind tags the record
+// so the restore callback can dispatch to the right program type.
+// Function-valued fields cannot be serialized: owners must reinstall them
+// on the first Step after a restore (the tree machines keep such fields
+// out of their records on purpose).
 type Snapshottable interface {
 	StepProgram
-	// SnapshotKind identifies the program's encoding to RestoreFunc.
+	// SnapshotKind identifies the program's record layout to RestoreFunc.
 	SnapshotKind() uint16
-	// EncodeState appends the program's mutable state to e.
-	EncodeState(e *SnapEncoder)
+	// SnapState codes the program's mutable state through c.
+	SnapState(c *SnapCodec)
 }
 
 // RestoreFunc reconstructs one node's program from its snapshot record.
-// It receives the node index, the program's SnapshotKind, and a decoder
-// positioned at the state EncodeState wrote (and must consume all of
-// it). It is called once per live node, in node order.
-type RestoreFunc func(node int, kind uint16, dec *SnapDecoder) (StepProgram, error)
+// It receives the node index, the program's SnapshotKind, and a reader
+// over the record SnapState wrote (and must consume all of it). It is
+// called once per live node, in node order. Errors for records that
+// decode but fail validation should wrap ErrBadSnapshot.
+type RestoreFunc func(node int, kind uint16, c *SnapCodec) (StepProgram, error)
 
 // CheckpointConfig asks the engine to emit periodic snapshots of its own
 // state. Checkpointing is best-effort by design: a failing Sink (or a
@@ -107,321 +109,238 @@ type SnapshotInfo struct {
 	Barriers int64
 }
 
-// SnapEncoder accumulates the binary encoding of snapshot records. All
-// integers use the canonical varint layout shared with graphio; the
-// zero value is ready to use. Errors are sticky (see Msg).
-type SnapEncoder struct {
-	buf []byte
-	err error
+// SnapCodec reads or writes one snapshot record. Its direction is fixed
+// when it is built (NewSnapWriter, NewSnapReader), and every field method
+// takes a pointer: a writer appends the value, a reader stores the decoded
+// value through it. A record's layout is therefore one function that both
+// checkpoint and restore run (Snapshottable.SnapState). All integers use
+// the canonical varint layout shared with graphio, and a reader rejects
+// non-minimal encodings. Errors are sticky: after the first failure every
+// field method is a no-op, and Err reports the failure — callers check
+// once at the end. A reader leaves a destination untouched once it has
+// failed.
+type SnapCodec struct {
+	decode bool
+	buf    []byte
+	off    int // reader: next unread byte
+	err    error
 }
 
-// Uvarint appends an unsigned varint.
-func (e *SnapEncoder) Uvarint(v uint64) { e.buf = graphio.AppendUvarint(e.buf, v) }
+// NewSnapWriter returns a codec that encodes into a fresh buffer.
+func NewSnapWriter() *SnapCodec { return &SnapCodec{} }
 
-// Varint appends a signed value, zigzag-mapped onto the unsigned layout.
-func (e *SnapEncoder) Varint(v int64) { e.Uvarint(uint64(v)<<1 ^ uint64(v>>63)) }
+// NewSnapReader returns a codec that decodes the record b.
+func NewSnapReader(b []byte) *SnapCodec { return &SnapCodec{decode: true, buf: b} }
 
-// Int appends a signed int.
-func (e *SnapEncoder) Int(v int) { e.Varint(int64(v)) }
+// Encoded returns the bytes a writer has produced so far.
+func (c *SnapCodec) Encoded() []byte { return c.buf }
 
-// Bool appends a boolean as one byte.
-func (e *SnapEncoder) Bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+// Err returns the first failure, or nil.
+func (c *SnapCodec) Err() error { return c.err }
+
+// Remaining returns the number of bytes a reader has not consumed.
+func (c *SnapCodec) Remaining() int { return len(c.buf) - c.off }
+
+func (c *SnapCodec) fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at offset %d", ErrBadSnapshot, what, c.off)
 	}
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *SnapEncoder) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Msg appends a message through the codec registry (nil encodes as kind
-// 0). A message type with no registered codec makes the encoder fail
-// sticky with ErrNotSnapshottable.
-func (e *SnapEncoder) Msg(m Message) {
-	if m == nil {
-		e.Uvarint(0)
+// Uvarint codes an unsigned varint.
+func (c *SnapCodec) Uvarint(v *uint64) {
+	if c.err != nil {
 		return
 	}
-	kind, ok := msgKindByType[reflect.TypeOf(m)]
-	if !ok {
-		if e.err == nil {
-			e.err = fmt.Errorf("%w: no codec for message type %T", ErrNotSnapshottable, m)
-		}
+	if !c.decode {
+		c.buf = graphio.AppendUvarint(c.buf, *v)
 		return
 	}
-	e.Uvarint(uint64(kind))
-	msgCodecs[kind].enc(e, m)
-}
-
-// Msgs appends a message slice, preserving nil-ness and nil entries.
-func (e *SnapEncoder) Msgs(ms []Message) {
-	if ms == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(ms)) + 1)
-	for _, m := range ms {
-		e.Msg(m)
-	}
-}
-
-// Ints appends an int slice (nil-preserving).
-func (e *SnapEncoder) Ints(vs []int) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Int(v)
-	}
-}
-
-// Int64s appends an int64 slice (nil-preserving).
-func (e *SnapEncoder) Int64s(vs []int64) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v)
-	}
-}
-
-// Int32s appends an int32 slice (nil-preserving).
-func (e *SnapEncoder) Int32s(vs []int32) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(int64(v))
-	}
-}
-
-// Bools appends a bool slice (nil-preserving).
-func (e *SnapEncoder) Bools(vs []bool) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Bool(v)
-	}
-}
-
-// Tree appends a Tree value.
-func (e *SnapEncoder) Tree(t Tree) {
-	e.Int(t.ParentPort)
-	e.Ints(t.ChildPorts)
-}
-
-// SnapDecoder reads records written by SnapEncoder. Errors are sticky:
-// after the first malformed read every getter returns a zero value, and
-// Err reports the failure — callers check once at the end.
-type SnapDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewSnapDecoder returns a decoder over an encoded record.
-func NewSnapDecoder(b []byte) *SnapDecoder { return &SnapDecoder{buf: b} }
-
-func (d *SnapDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrBadSnapshot, what, d.off)
-	}
-}
-
-// Err returns the first decode failure, or nil.
-func (d *SnapDecoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *SnapDecoder) Remaining() int { return len(d.buf) - d.off }
-
-// Uvarint reads an unsigned varint.
-func (d *SnapDecoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n, err := graphio.ConsumeUvarint(d.buf[d.off:])
+	x, n, err := graphio.ConsumeUvarint(c.buf[c.off:])
 	if err != nil {
-		d.fail("varint")
-		return 0
+		c.fail("varint")
+		return
 	}
-	d.off += n
-	return v
+	c.off += n
+	*v = x
 }
 
-// Varint reads a zigzag-encoded signed value.
-func (d *SnapDecoder) Varint() int64 {
-	u := d.Uvarint()
-	return int64(u>>1) ^ -int64(u&1)
+// Varint codes a signed value, zigzag-mapped onto the unsigned layout.
+func (c *SnapCodec) Varint(v *int64) {
+	u := uint64(*v)<<1 ^ uint64(*v>>63)
+	c.Uvarint(&u)
+	if c.decode && c.err == nil {
+		*v = int64(u>>1) ^ -int64(u&1)
+	}
 }
 
-// Int reads a signed int.
-func (d *SnapDecoder) Int() int { return int(d.Varint()) }
+// Int codes a signed int (the Varint layout).
+func (c *SnapCodec) Int(v *int) { SnapVarint(c, v) }
 
-// Bool reads one boolean byte (any value other than 0 or 1 is an error).
-func (d *SnapDecoder) Bool() bool {
-	if d.err != nil {
-		return false
+// Float64 codes a float64 as the uvarint of its IEEE-754 bits.
+func (c *SnapCodec) Float64(v *float64) {
+	u := math.Float64bits(*v)
+	c.Uvarint(&u)
+	if c.decode && c.err == nil {
+		*v = math.Float64frombits(u)
 	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated bool")
-		return false
+}
+
+// Bool codes a boolean as one byte; a reader rejects any value other
+// than 0 or 1.
+func (c *SnapCodec) Bool(v *bool) {
+	if c.err != nil {
+		return
 	}
-	b := d.buf[d.off]
-	d.off++
+	if !c.decode {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+		return
+	}
+	if c.off >= len(c.buf) {
+		c.fail("truncated bool")
+		return
+	}
+	b := c.buf[c.off]
+	c.off++
 	if b > 1 {
-		d.fail("bool out of range")
-		return false
+		c.fail("bool out of range")
+		return
 	}
-	return b == 1
+	*v = b == 1
 }
 
-// Bytes reads a length-prefixed byte slice (aliasing the input buffer).
-func (d *SnapDecoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
+// Bytes codes a length-prefixed byte slice. A reader's result aliases
+// the record.
+func (c *SnapCodec) Bytes(b *[]byte) {
+	n := uint64(len(*b))
+	c.Uvarint(&n)
+	if c.err != nil {
+		return
 	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("truncated bytes")
-		return nil
+	if !c.decode {
+		c.buf = append(c.buf, *b...)
+		return
 	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
+	if n > uint64(c.Remaining()) {
+		c.fail("truncated bytes")
+		return
+	}
+	*b = c.buf[c.off : c.off+int(n)]
+	c.off += int(n)
 }
 
-// Msg reads one message (kind 0 decodes as nil).
-func (d *SnapDecoder) Msg() Message {
-	kind := d.Uvarint()
-	if d.err != nil || kind == 0 {
-		return nil
+// Msg codes a message through the codec registry (nil is kind 0). A
+// writer given a message type with no registered codec fails sticky with
+// ErrNotSnapshottable.
+func (c *SnapCodec) Msg(m *Message) {
+	var kind uint64
+	if !c.decode && *m != nil {
+		k, ok := msgKindByType[reflect.TypeOf(*m)]
+		if !ok {
+			if c.err == nil {
+				c.err = fmt.Errorf("%w: no codec for message type %T", ErrNotSnapshottable, *m)
+			}
+			return
+		}
+		kind = uint64(k)
 	}
-	c, ok := msgCodecs[uint16(kind)]
+	c.Uvarint(&kind)
+	if c.err != nil || (kind == 0 && !c.decode) {
+		return
+	}
+	if kind == 0 {
+		*m = nil
+		return
+	}
+	mc, ok := msgCodecs[uint16(kind)]
 	if !ok || kind > 0xFFFF {
-		d.fail(fmt.Sprintf("unknown message kind %d", kind))
-		return nil
+		c.fail(fmt.Sprintf("unknown message kind %d", kind))
+		return
 	}
-	return c.dec(d)
+	in := *m
+	if c.decode {
+		in = nil
+	}
+	out := mc.sample // a message type without fields
+	if mc.code != nil {
+		out = mc.code(c, in)
+	}
+	if c.decode && c.err == nil {
+		*m = out
+	}
 }
 
-// Msgs reads a message slice written by SnapEncoder.Msgs.
-func (d *SnapDecoder) Msgs() []Message {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) { // every entry costs >= 1 byte
-		d.fail("truncated message slice")
-		return nil
-	}
-	ms := make([]Message, n)
-	for i := range ms {
-		ms[i] = d.Msg()
-	}
-	return ms
+// Tree codes a Tree value.
+func (c *SnapCodec) Tree(t *Tree) {
+	c.Int(&t.ParentPort)
+	SnapSlice(c, &t.ChildPorts, (*SnapCodec).Int)
 }
 
-// Ints reads an int slice written by SnapEncoder.Ints.
-func (d *SnapDecoder) Ints() []int {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int slice")
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = d.Int()
-	}
-	return vs
+// snapInteger is the set of types SnapVarint and SnapUvarint code.
+type snapInteger interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// Int64s reads an int64 slice written by SnapEncoder.Int64s.
-func (d *SnapDecoder) Int64s() []int64 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
+// SnapVarint codes an integer of any type in the zigzag Varint layout
+// (for narrow or named fields; a reader truncates to T).
+func SnapVarint[T snapInteger](c *SnapCodec, v *T) {
+	x := int64(*v)
+	c.Varint(&x)
+	if c.decode && c.err == nil {
+		*v = T(x)
 	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int64 slice")
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = d.Varint()
-	}
-	return vs
 }
 
-// Int32s reads an int32 slice written by SnapEncoder.Int32s.
-func (d *SnapDecoder) Int32s() []int32 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
+// SnapUvarint codes an integer of any type in the plain Uvarint layout
+// (for counters and enumerations; a reader truncates to T).
+func SnapUvarint[T snapInteger](c *SnapCodec, v *T) {
+	x := uint64(*v)
+	c.Uvarint(&x)
+	if c.decode && c.err == nil {
+		*v = T(x)
 	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int32 slice")
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(d.Varint())
-	}
-	return vs
 }
 
-// Bools reads a bool slice written by SnapEncoder.Bools.
-func (d *SnapDecoder) Bools() []bool {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
+// SnapSlice codes a nil-preserving slice: uvarint 0 for nil, else the
+// length plus one, then each element through elem. A reader rejects a
+// length above the unread byte count before allocating (every element
+// costs at least one byte), so a hostile length cannot force a large
+// allocation.
+func SnapSlice[S ~[]E, E any](c *SnapCodec, s *S, elem func(*SnapCodec, *E)) {
+	var n uint64
+	if *s != nil {
+		n = uint64(len(*s)) + 1
 	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated bool slice")
-		return nil
+	c.Uvarint(&n)
+	if c.err != nil {
+		return
 	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = d.Bool()
+	if c.decode {
+		if n == 0 {
+			*s = nil
+			return
+		}
+		if n-1 > uint64(c.Remaining()) {
+			c.fail("truncated slice")
+			return
+		}
+		*s = make(S, n-1)
 	}
-	return vs
-}
-
-// Tree reads a Tree value.
-func (d *SnapDecoder) Tree() Tree {
-	var t Tree
-	t.ParentPort = d.Int()
-	t.ChildPorts = d.Ints()
-	return t
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
 }
 
 // Message codec registry. Codecs are registered from init functions
 // (congest, partition, core each own a disjoint kind range) and the maps
 // are read-only afterwards, so lock-free concurrent reads are safe.
 type msgCodec struct {
-	enc func(e *SnapEncoder, m Message)
-	dec func(d *SnapDecoder) Message
+	sample Message
+	code   func(c *SnapCodec, m Message) Message
 }
 
 var (
@@ -431,9 +350,12 @@ var (
 
 // RegisterMessageCodec registers the snapshot codec for one message
 // type, identified by a non-zero kind (kind 0 is reserved for nil).
-// sample carries the concrete type; enc receives values of exactly that
-// type. Call from init; duplicate kinds or types panic.
-func RegisterMessageCodec(kind uint16, sample Message, enc func(e *SnapEncoder, m Message), dec func(d *SnapDecoder) Message) {
+// sample carries the concrete type. code codes the fields of one value:
+// a writer passes the message being written (of exactly sample's type)
+// and ignores the result; a reader passes nil and takes the result as
+// the decoded message. A nil code registers a type without fields, which
+// decodes as sample. Call from init; duplicate kinds or types panic.
+func RegisterMessageCodec(kind uint16, sample Message, code func(c *SnapCodec, m Message) Message) {
 	if kind == 0 {
 		panic("congest: message kind 0 is reserved")
 	}
@@ -445,39 +367,25 @@ func RegisterMessageCodec(kind uint16, sample Message, enc func(e *SnapEncoder, 
 		panic(fmt.Sprintf("congest: duplicate message codec for %v", t))
 	}
 	msgKindByType[t] = kind
-	msgCodecs[kind] = msgCodec{enc: enc, dec: dec}
+	msgCodecs[kind] = msgCodec{sample: sample, code: code}
 }
 
 // Engine-internal pipeline framing messages (tree_step.go). Bits are
-// encoded rather than recomputed so a restored message is field-exact.
+// coded rather than recomputed so a restored message is field-exact.
 func init() {
-	RegisterMessageCodec(1, pipeItem{},
-		func(e *SnapEncoder, m Message) {
-			p := m.(pipeItem)
-			e.Msg(p.payload)
-			e.Int(p.bits)
-		},
-		func(d *SnapDecoder) Message {
-			var p pipeItem
-			p.payload = d.Msg()
-			p.bits = d.Int()
-			return p
-		})
-	RegisterMessageCodec(2, pipeBatch{},
-		func(e *SnapEncoder, m Message) {
-			p := m.(pipeBatch)
-			e.Msgs(p.payloads)
-			e.Int(p.bits)
-		},
-		func(d *SnapDecoder) Message {
-			var p pipeBatch
-			p.payloads = d.Msgs()
-			p.bits = d.Int()
-			return p
-		})
-	RegisterMessageCodec(3, pipeEnd{},
-		func(e *SnapEncoder, m Message) {},
-		func(d *SnapDecoder) Message { return pipeEnd{} })
+	RegisterMessageCodec(1, pipeItem{}, func(c *SnapCodec, m Message) Message {
+		p, _ := m.(pipeItem)
+		c.Msg(&p.payload)
+		c.Int(&p.bits)
+		return p
+	})
+	RegisterMessageCodec(2, pipeBatch{}, func(c *SnapCodec, m Message) Message {
+		p, _ := m.(pipeBatch)
+		SnapSlice(c, &p.payloads, (*SnapCodec).Msg)
+		c.Int(&p.bits)
+		return p
+	})
+	RegisterMessageCodec(3, pipeEnd{}, nil)
 }
 
 // countingSource wraps a node's lazy randomness source and counts how
@@ -525,6 +433,148 @@ func (e *engine) releaseRNG() {
 	}
 }
 
+// snapHeader is the engine header of a snapshot, right after the magic.
+// One method (snap) codes it for checkpointing, InspectSnapshot and
+// ResumeStep alike.
+type snapHeader struct {
+	SnapshotInfo
+	bitBound, maxRounds int
+	stopOnRej           bool
+	alive               int
+	rejected            bool
+	// metrics carries Messages, TotalBits, MaxMessageBits and
+	// DroppedToDone, with charged traffic folded in.
+	metrics Metrics
+}
+
+func (h *snapHeader) snap(c *SnapCodec) {
+	SnapUvarint(c, &h.Version)
+	SnapUvarint(c, &h.N)
+	SnapUvarint(c, &h.M)
+	c.Varint(&h.Seed)
+	SnapUvarint(c, &h.bitBound)
+	SnapUvarint(c, &h.maxRounds)
+	c.Bool(&h.stopOnRej)
+	SnapUvarint(c, &h.Round)
+	SnapUvarint(c, &h.Barriers)
+	SnapUvarint(c, &h.alive)
+	c.Bool(&h.rejected)
+	SnapUvarint(c, &h.metrics.Messages)
+	SnapUvarint(c, &h.metrics.TotalBits)
+	SnapUvarint(c, &h.metrics.MaxMessageBits)
+	SnapUvarint(c, &h.metrics.DroppedToDone)
+}
+
+// snapNodes codes the node IDs and the per-node records: phase, verdict,
+// reject flag and modeled rounds, plus for live nodes the deadline, the
+// RNG draw count, the mailbox and the program state (its SnapshotKind and
+// the length-prefixed SnapState record). Writing needs every live program
+// to be Snapshottable; reading fills the slabs of a fresh engine, builds
+// each live node's program through restore, and returns the number of
+// live records.
+func (e *engine) snapNodes(c *SnapCodec, restore RestoreFunc) (alive int, err error) {
+	for i := range e.ids {
+		c.Varint(&e.ids[i])
+	}
+	sub := NewSnapWriter()
+	for i := 0; i < e.n; i++ {
+		SnapUvarint(c, &e.phase[i])
+		SnapUvarint(c, &e.verdicts[i])
+		c.Bool(&e.rejFlag[i])
+		SnapUvarint(c, &e.modeled[i])
+		if c.err != nil {
+			return 0, c.err
+		}
+		if ph := e.phase[i]; ph != phaseWaiting {
+			if ph != phaseDone {
+				return 0, fmt.Errorf("%w: node %d has phase %d", ErrBadSnapshot, i, ph)
+			}
+			continue // deadline, RNG, mailbox, program: dead state
+		}
+		alive++
+		SnapUvarint(c, &e.deadline[i])
+		if c.decode && e.deadline[i] <= int64(e.round) && c.err == nil {
+			return 0, fmt.Errorf("%w: node %d deadline %d not after round %d",
+				ErrBadSnapshot, i, e.deadline[i], e.round)
+		}
+		hasRNG := e.rngSrc[i] != nil
+		c.Bool(&hasRNG)
+		if hasRNG {
+			var draws uint64
+			if !c.decode {
+				draws = e.rngSrc[i].n
+			}
+			c.Uvarint(&draws)
+			if c.decode && c.err == nil {
+				src := &countingSource{src: nodeRNGSource(e.seed, i), n: draws}
+				for k := uint64(0); k < draws; k++ {
+					src.src.Uint64()
+				}
+				e.rngSrc[i] = src
+				e.rngs[i] = rand.New(src)
+			}
+		}
+		mb := &e.hot[i].mailbox
+		nmail := uint64(len(*mb))
+		c.Uvarint(&nmail)
+		if c.decode && nmail > uint64(c.Remaining()) {
+			return 0, fmt.Errorf("%w: node %d mailbox length %d", ErrBadSnapshot, i, nmail)
+		}
+		for k := 0; k < int(nmail); k++ {
+			var in Inbound
+			if !c.decode {
+				in = (*mb)[k]
+			}
+			SnapUvarint(c, &in.Port)
+			SnapUvarint(c, &in.From)
+			c.Msg(&in.Msg)
+			if !c.decode {
+				continue
+			}
+			if c.err != nil {
+				return 0, c.err
+			}
+			if in.Port < 0 || in.Port >= e.g.Degree(i) || in.From < 0 || in.From >= e.n {
+				return 0, fmt.Errorf("%w: node %d mailbox entry %d out of range", ErrBadSnapshot, i, k)
+			}
+			*mb = append(*mb, in)
+		}
+		var kind uint16
+		var state []byte
+		if !c.decode {
+			sp := e.hot[i].prog.(Snapshottable)
+			sub.buf, sub.err = sub.buf[:0], nil
+			sp.SnapState(sub)
+			if sub.err != nil {
+				return 0, fmt.Errorf("node %d (%T): %w", i, sp, sub.err)
+			}
+			kind, state = sp.SnapshotKind(), sub.buf
+		}
+		SnapUvarint(c, &kind)
+		c.Bytes(&state)
+		if !c.decode {
+			continue
+		}
+		if c.err != nil {
+			return 0, c.err
+		}
+		rc := NewSnapReader(state)
+		prog, rerr := restore(i, kind, rc)
+		if rerr != nil {
+			return 0, fmt.Errorf("congest: restore node %d (kind %d): %w", i, kind, rerr)
+		}
+		if rc.err != nil {
+			return 0, fmt.Errorf("node %d: %w", i, rc.err)
+		}
+		if rc.Remaining() != 0 {
+			return 0, fmt.Errorf("%w: node %d program state has %d trailing bytes",
+				ErrBadSnapshot, i, rc.Remaining())
+		}
+		e.hot[i].prog = prog
+	}
+	return alive, c.err
+}
+
 // encodeSnapshot serializes the full engine state at the current
 // barrier. Called from the scheduler loop only (workers idle).
 func (e *engine) encodeSnapshot() ([]byte, error) {
@@ -538,120 +588,66 @@ func (e *engine) encodeSnapshot() ([]byte, error) {
 			return nil, fmt.Errorf("%w: node %d runs %T", ErrNotSnapshottable, i, e.hot[i].prog)
 		}
 	}
-	enc := &SnapEncoder{buf: make([]byte, 0, 256+32*e.n)}
-	enc.buf = append(enc.buf, snapshotMagic...)
-	enc.Uvarint(snapshotVersion)
-	enc.Uvarint(uint64(e.n))
-	enc.Uvarint(uint64(e.g.M()))
-	enc.Varint(e.seed)
-	enc.Uvarint(uint64(e.bitBound))
-	enc.Uvarint(uint64(e.maxRounds))
-	enc.Bool(e.stopOnRej)
-	enc.Uvarint(uint64(e.round))
-	enc.Uvarint(uint64(e.barriers))
-	enc.Uvarint(uint64(e.alive))
-	enc.Bool(e.rejected)
+	c := &SnapCodec{buf: make([]byte, 0, 256+32*e.n)}
+	c.buf = append(c.buf, snapshotMagic...)
+	h := snapHeader{
+		SnapshotInfo: SnapshotInfo{Version: snapshotVersion, N: e.n, M: e.g.M(), Seed: e.seed,
+			Round: e.round, Barriers: e.barriers},
+		bitBound: e.bitBound, maxRounds: e.maxRounds, stopOnRej: e.stopOnRej,
+		alive: e.alive, rejected: e.rejected, metrics: e.m,
+	}
 	// Traffic charged through StepAPI.ChargeTraffic folds into the
 	// header totals: the resumed engine starts with the folded sums and
 	// fresh zero charge slabs, so final Messages/TotalBits are identical
 	// no matter where the run was cut (DESIGN.md §10).
-	var chMsgs, chBits int64
 	for i := 0; i < e.n; i++ {
-		chMsgs += e.chargedMsgs[i]
-		chBits += e.chargedBits[i]
+		h.metrics.Messages += e.chargedMsgs[i]
+		h.metrics.TotalBits += e.chargedBits[i]
 	}
-	enc.Uvarint(uint64(e.m.Messages + chMsgs))
-	enc.Uvarint(uint64(e.m.TotalBits + chBits))
-	enc.Uvarint(uint64(e.m.MaxMessageBits))
-	enc.Uvarint(uint64(e.m.DroppedToDone))
-	for _, id := range e.ids {
-		enc.Varint(id)
+	h.snap(c)
+	if _, err := e.snapNodes(c, nil); err != nil {
+		return nil, err
 	}
-	var sub SnapEncoder
-	for i := 0; i < e.n; i++ {
-		enc.Uvarint(uint64(e.phase[i]))
-		enc.Uvarint(uint64(e.verdicts[i]))
-		enc.Bool(e.rejFlag[i])
-		enc.Uvarint(uint64(e.modeled[i]))
-		if e.phase[i] != phaseWaiting {
-			continue // deadline, RNG, mailbox, program: dead state
-		}
-		enc.Uvarint(uint64(e.deadline[i]))
-		if src := e.rngSrc[i]; src != nil {
-			enc.Bool(true)
-			enc.Uvarint(src.n)
-		} else {
-			enc.Bool(false)
-		}
-		mb := e.hot[i].mailbox
-		enc.Uvarint(uint64(len(mb)))
-		for _, in := range mb {
-			enc.Uvarint(uint64(in.Port))
-			enc.Uvarint(uint64(in.From))
-			enc.Msg(in.Msg)
-		}
-		sp := e.hot[i].prog.(Snapshottable)
-		sub.buf = sub.buf[:0]
-		sub.err = nil
-		sp.EncodeState(&sub)
-		if sub.err != nil {
-			return nil, fmt.Errorf("node %d (%T): %w", i, sp, sub.err)
-		}
-		enc.Uvarint(uint64(sp.SnapshotKind()))
-		enc.Bytes(sub.buf)
+	e.snapObs(c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	e.encodeObsSection(enc)
-	if enc.err != nil {
-		return nil, enc.err
-	}
-	sum := sha256.Sum256(enc.buf)
-	return append(enc.buf, sum[:]...), nil
+	sum := sha256.Sum256(c.buf)
+	return append(c.buf, sum[:]...), nil
 }
 
-// openSnapshot validates magic, version, and the SHA-256 footer, and
-// returns a decoder positioned at the header (after the version).
-func openSnapshot(data []byte) (*SnapDecoder, error) {
+// openSnapshot validates magic, the SHA-256 footer and the version, and
+// returns the header with a reader positioned right after it.
+func openSnapshot(data []byte) (*SnapCodec, snapHeader, error) {
+	var h snapHeader
 	if len(data) < len(snapshotMagic)+1+snapshotFooterLen {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrBadSnapshot, len(data))
+		return nil, h, fmt.Errorf("%w: %d bytes is too short", ErrBadSnapshot, len(data))
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, data[:len(snapshotMagic)])
+		return nil, h, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, data[:len(snapshotMagic)])
 	}
 	body := data[:len(data)-snapshotFooterLen]
 	sum := sha256.Sum256(body)
 	if string(sum[:]) != string(data[len(body):]) {
-		return nil, fmt.Errorf("%w: integrity footer mismatch", ErrBadSnapshot)
+		return nil, h, fmt.Errorf("%w: integrity footer mismatch", ErrBadSnapshot)
 	}
-	d := &SnapDecoder{buf: body, off: len(snapshotMagic)}
-	if v := d.Uvarint(); v != snapshotVersion || d.err != nil {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
+	c := NewSnapReader(body[len(snapshotMagic):])
+	h.snap(c)
+	if h.Version != snapshotVersion {
+		return nil, h, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, h.Version)
 	}
-	return d, nil
+	return c, h, c.err
 }
 
 // InspectSnapshot validates a snapshot's framing (magic, version,
 // SHA-256 footer) and returns its header without restoring anything.
 // Corrupt or truncated data fails with ErrBadSnapshot.
 func InspectSnapshot(data []byte) (SnapshotInfo, error) {
-	d, err := openSnapshot(data)
+	_, h, err := openSnapshot(data)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	info := SnapshotInfo{
-		Version: snapshotVersion,
-		N:       int(d.Uvarint()),
-		M:       int(d.Uvarint()),
-		Seed:    d.Varint(),
-	}
-	d.Uvarint() // bitBound
-	d.Uvarint() // maxRounds
-	d.Bool()    // stopOnReject
-	info.Round = int(d.Uvarint())
-	info.Barriers = int64(d.Uvarint())
-	if d.err != nil {
-		return SnapshotInfo{}, d.err
-	}
-	return info, nil
+	return h.SnapshotInfo, nil
 }
 
 // ResumeStep restores a run from a snapshot and drives it to
@@ -663,7 +659,7 @@ func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 // Cancel, Deadline, Checkpoint) comes from cfg. restore rebuilds each
 // live node's program from its serialized state.
 func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
-	d, err := openSnapshot(data)
+	c, h, err := openSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -671,11 +667,10 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("congest: ResumeStep needs cfg.Graph")
 	}
-	n := int(d.Uvarint())
-	m := int(d.Uvarint())
-	if n != g.N() || m != g.M() {
+	n := g.N()
+	if h.N != n || h.M != g.M() {
 		return nil, fmt.Errorf("%w: snapshot is for an n=%d m=%d graph, got n=%d m=%d",
-			ErrBadSnapshot, n, m, g.N(), g.M())
+			ErrBadSnapshot, h.N, h.M, n, g.M())
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -685,7 +680,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		g:            g,
 		revPort:      g.RevPorts(),
 		n:            n,
-		seed:         d.Varint(),
+		seed:         h.Seed,
 		phase:        make([]nodePhase, n),
 		deadline:     make([]int64, n),
 		heapDl:       make([]int64, n),
@@ -700,28 +695,35 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
 		ids:          make([]int64, n),
-		bitBound:     int(d.Uvarint()),
-		maxRounds:    int(d.Uvarint()),
-		stopOnRej:    d.Bool(),
+		bitBound:     h.bitBound,
+		maxRounds:    h.maxRounds,
+		stopOnRej:    h.stopOnRej,
 		workers:      workers,
 		cancel:       cfg.Cancel,
 		ckpt:         cfg.Checkpoint,
 		wallDeadline: cfg.Deadline,
+		round:        h.Round,
+		barriers:     h.Barriers,
+		alive:        h.alive,
+		rejected:     h.rejected,
+		m:            h.metrics,
 	}
-	eng.round = int(d.Uvarint())
-	eng.barriers = int64(d.Uvarint())
-	eng.alive = int(d.Uvarint())
-	eng.rejected = d.Bool()
 	eng.m.BitBound = eng.bitBound
-	eng.m.Messages = int64(d.Uvarint())
-	eng.m.TotalBits = int64(d.Uvarint())
-	eng.m.MaxMessageBits = int(d.Uvarint())
-	eng.m.DroppedToDone = int64(d.Uvarint())
-	for i := range eng.ids {
-		eng.ids[i] = d.Varint()
+	alive, err := eng.snapNodes(c, restore)
+	if err != nil {
+		return nil, err
 	}
-	if d.err != nil {
-		return nil, d.err
+	eng.initObs(cfg)
+	eng.snapObs(c)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, c.Remaining())
+	}
+	if alive != eng.alive {
+		return nil, fmt.Errorf("%w: header says %d live nodes, records have %d",
+			ErrBadSnapshot, eng.alive, alive)
 	}
 	sentWords := 0
 	for i := 0; i < n; i++ {
@@ -733,87 +735,6 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		deg := g.Degree(i)
 		eng.apis[i] = StepAPI{eng: eng, node: int32(i), degree: int32(deg), sentOff: off, id: eng.ids[i]}
 		off += int32((deg + 63) / 64)
-	}
-
-	alive := 0
-	for i := 0; i < n; i++ {
-		ph := nodePhase(d.Uvarint())
-		if ph != phaseWaiting && ph != phaseDone {
-			return nil, fmt.Errorf("%w: node %d has phase %d", ErrBadSnapshot, i, ph)
-		}
-		eng.phase[i] = ph
-		eng.verdicts[i] = Verdict(d.Uvarint())
-		eng.rejFlag[i] = d.Bool()
-		eng.modeled[i] = int64(d.Uvarint())
-		if ph != phaseWaiting {
-			continue
-		}
-		alive++
-		eng.deadline[i] = int64(d.Uvarint())
-		if eng.deadline[i] <= int64(eng.round) {
-			return nil, fmt.Errorf("%w: node %d deadline %d not after round %d",
-				ErrBadSnapshot, i, eng.deadline[i], eng.round)
-		}
-		if d.Bool() {
-			draws := d.Uvarint()
-			if d.err != nil {
-				return nil, d.err
-			}
-			src := &countingSource{src: nodeRNGSource(eng.seed, i)}
-			for k := uint64(0); k < draws; k++ {
-				src.src.Uint64()
-			}
-			src.n = draws
-			eng.rngSrc[i] = src
-			eng.rngs[i] = rand.New(src)
-		}
-		nmail := d.Uvarint()
-		if nmail > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("%w: node %d mailbox length %d", ErrBadSnapshot, i, nmail)
-		}
-		deg := uint64(g.Degree(i))
-		for k := uint64(0); k < nmail; k++ {
-			port := d.Uvarint()
-			from := d.Uvarint()
-			msg := d.Msg()
-			if d.err != nil {
-				return nil, d.err
-			}
-			if port >= deg || from >= uint64(n) {
-				return nil, fmt.Errorf("%w: node %d mailbox entry %d out of range", ErrBadSnapshot, i, k)
-			}
-			eng.hot[i].mailbox = append(eng.hot[i].mailbox, Inbound{Port: int(port), From: int(from), Msg: msg})
-		}
-		kind := d.Uvarint()
-		state := d.Bytes()
-		if d.err != nil {
-			return nil, d.err
-		}
-		sub := NewSnapDecoder(state)
-		prog, rerr := restore(i, uint16(kind), sub)
-		if rerr != nil {
-			return nil, fmt.Errorf("congest: restore node %d (kind %d): %w", i, kind, rerr)
-		}
-		if sub.err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, sub.err)
-		}
-		if sub.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: node %d program state has %d trailing bytes",
-				ErrBadSnapshot, i, sub.Remaining())
-		}
-		eng.hot[i].prog = prog
-	}
-	eng.initObs(cfg)
-	eng.decodeObsSection(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, d.Remaining())
-	}
-	if alive != eng.alive {
-		return nil, fmt.Errorf("%w: header says %d live nodes, records have %d",
-			ErrBadSnapshot, eng.alive, alive)
 	}
 
 	// Rebuild the scheduling structures from the slabs. They are

@@ -98,26 +98,17 @@ func (b *BroadcastDownStep) Wake() Status { return Sleep(b.deadline) }
 // passed before the message arrived (budget too small).
 func (b *BroadcastDownStep) Result() (Message, bool) { return b.got, b.ok }
 
-// EncodeState serializes the machine for a checkpoint. The transform
-// function is not serialized: the owning program must reinstall it after
-// DecodeState (before the next Feed) when it uses one.
-func (b *BroadcastDownStep) EncodeState(e *SnapEncoder) {
-	e.Tree(b.t)
-	e.Int(b.deadline)
-	e.Msg(b.got)
-	e.Bool(b.ok)
+// SnapState codes the machine for a checkpoint. The transform function is
+// not serialized: the owning program must reinstall it after a restore
+// (before the next Feed) when it uses one.
+func (b *BroadcastDownStep) SnapState(c *SnapCodec) {
+	c.Tree(&b.t)
+	c.Int(&b.deadline)
+	c.Msg(&b.got)
+	c.Bool(&b.ok)
 }
 
-// DecodeState restores the machine from a checkpoint record.
-func (b *BroadcastDownStep) DecodeState(d *SnapDecoder) {
-	b.t = d.Tree()
-	b.deadline = d.Int()
-	b.got = d.Msg()
-	b.ok = d.Bool()
-	b.transform = nil
-}
-
-// SetTransform reinstalls the per-hop transform after DecodeState; the
+// SetTransform reinstalls the per-hop transform after a restore; the
 // function itself cannot be serialized.
 func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
 
@@ -195,32 +186,20 @@ func (c *ConvergecastStep) Wake() Status { return Sleep(c.deadline) }
 // before all children reported.
 func (c *ConvergecastStep) Result() (Message, bool) { return c.agg, c.ok }
 
-// EncodeState serializes the machine for a checkpoint. The combine
-// function is not serialized: the owning program must reinstall it after
-// DecodeState when the operation is still in flight.
-func (c *ConvergecastStep) EncodeState(e *SnapEncoder) {
-	e.Tree(c.t)
-	e.Int(c.deadline)
-	e.Msg(c.own)
-	e.Msgs(c.children)
-	e.Int(c.missing)
-	e.Msg(c.agg)
-	e.Bool(c.ok)
+// SnapState codes the machine for a checkpoint. The combine function is
+// not serialized: the owning program must reinstall it after a restore
+// when the operation is still in flight.
+func (c *ConvergecastStep) SnapState(sc *SnapCodec) {
+	sc.Tree(&c.t)
+	sc.Int(&c.deadline)
+	sc.Msg(&c.own)
+	SnapSlice(sc, &c.children, (*SnapCodec).Msg)
+	sc.Int(&c.missing)
+	sc.Msg(&c.agg)
+	sc.Bool(&c.ok)
 }
 
-// DecodeState restores the machine from a checkpoint record.
-func (c *ConvergecastStep) DecodeState(d *SnapDecoder) {
-	c.t = d.Tree()
-	c.deadline = d.Int()
-	c.own = d.Msg()
-	c.children = d.Msgs()
-	c.missing = d.Int()
-	c.agg = d.Msg()
-	c.ok = d.Bool()
-	c.combine = nil
-}
-
-// SetCombine reinstalls the aggregation function after DecodeState; the
+// SetCombine reinstalls the aggregation function after a restore; the
 // function itself cannot be serialized.
 func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
@@ -335,30 +314,18 @@ func (p *PipelineUpStep) Result() ([]Message, bool) {
 	return nil, p.sentEnd && len(p.queue) == 0
 }
 
-// EncodeState serializes the machine for a checkpoint.
-func (p *PipelineUpStep) EncodeState(e *SnapEncoder) {
-	e.Tree(p.t)
-	e.Int(p.deadline)
-	e.Int(p.bitBound)
-	e.Msgs(p.collected)
-	e.Msgs(p.queue)
-	e.Int(p.doneChildren)
-	e.Bool(p.sentEnd)
-	e.Bool(p.wantNext)
-}
-
-// DecodeState restores the machine from a checkpoint record. The queue
-// backing decoded here is necessarily fresh, which preserves Begin's
-// no-aliasing invariant for batches still in flight.
-func (p *PipelineUpStep) DecodeState(d *SnapDecoder) {
-	p.t = d.Tree()
-	p.deadline = d.Int()
-	p.bitBound = d.Int()
-	p.collected = d.Msgs()
-	p.queue = d.Msgs()
-	p.doneChildren = d.Int()
-	p.sentEnd = d.Bool()
-	p.wantNext = d.Bool()
+// SnapState codes the machine for a checkpoint. A restored queue backing
+// is necessarily fresh, which preserves Begin's no-aliasing invariant for
+// batches still in flight.
+func (p *PipelineUpStep) SnapState(c *SnapCodec) {
+	c.Tree(&p.t)
+	c.Int(&p.deadline)
+	c.Int(&p.bitBound)
+	SnapSlice(c, &p.collected, (*SnapCodec).Msg)
+	SnapSlice(c, &p.queue, (*SnapCodec).Msg)
+	c.Int(&p.doneChildren)
+	c.Bool(&p.sentEnd)
+	c.Bool(&p.wantNext)
 }
 
 // BroadcastItemsDownStep streams a sequence of items from the root to
@@ -474,31 +441,18 @@ func (b *BroadcastItemsDownStep) Result() ([]Message, bool) {
 	return b.got, b.done
 }
 
-// EncodeState serializes the machine for a checkpoint. Keep is not
-// serialized: the owning program must reinstall it after DecodeState
-// when the in-flight stream uses a filter.
-func (b *BroadcastItemsDownStep) EncodeState(e *SnapEncoder) {
-	e.Tree(b.t)
-	e.Int(b.deadline)
-	e.Int(b.bitBound)
-	e.Msgs(b.items)
-	e.Msgs(b.got)
-	e.Int(b.next)
-	e.Bool(b.endSent)
-	e.Bool(b.done)
-}
-
-// DecodeState restores the machine from a checkpoint record.
-func (b *BroadcastItemsDownStep) DecodeState(d *SnapDecoder) {
-	b.t = d.Tree()
-	b.deadline = d.Int()
-	b.bitBound = d.Int()
-	b.items = d.Msgs()
-	b.got = d.Msgs()
-	b.next = d.Int()
-	b.endSent = d.Bool()
-	b.done = d.Bool()
-	b.Keep = nil
+// SnapState codes the machine for a checkpoint. Keep is not serialized:
+// the owning program must reinstall it after a restore when the
+// in-flight stream uses a filter.
+func (b *BroadcastItemsDownStep) SnapState(c *SnapCodec) {
+	c.Tree(&b.t)
+	c.Int(&b.deadline)
+	c.Int(&b.bitBound)
+	SnapSlice(c, &b.items, (*SnapCodec).Msg)
+	SnapSlice(c, &b.got, (*SnapCodec).Msg)
+	c.Int(&b.next)
+	c.Bool(&b.endSent)
+	c.Bool(&b.done)
 }
 
 // pipeItem wraps a payload moving through PipelineUp/BroadcastItemsDown.

@@ -13,12 +13,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/planar"
 )
 
 // Program snapshot kinds of package core (internal/partition owns
@@ -49,235 +47,136 @@ const (
 )
 
 func init() {
-	congest.RegisterMessageCodec(msgKindAnnounce, announceMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			a := m.(announceMsg)
-			e.Varint(a.PartRoot)
-			e.Varint(a.ID)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return announceMsg{PartRoot: d.Varint(), ID: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindVal, valMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(valMsg).V) },
-		func(d *congest.SnapDecoder) congest.Message { return valMsg{V: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindNone, noneMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return noneMsg{} })
-	congest.RegisterMessageCodec(msgKindBFS, bfsMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(bfsMsg).Level) },
-		func(d *congest.SnapDecoder) congest.Message { return bfsMsg{Level: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindChild, childMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return childMsg{} })
-	congest.RegisterMessageCodec(msgKindLvl, lvlMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(lvlMsg).Level) },
-		func(d *congest.SnapDecoder) congest.Message { return lvlMsg{Level: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindCounts, countsMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			c := m.(countsMsg)
-			e.Varint(c.N)
-			e.Varint(c.M)
-			e.Bool(c.Reject)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return countsMsg{N: d.Varint(), M: d.Varint(), Reject: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindEdgeItem, edgeItem{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			it := m.(edgeItem)
-			e.Varint(it.A)
-			e.Varint(it.B)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return edgeItem{A: d.Varint(), B: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindRotItem, rotItem{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			r := m.(rotItem)
-			e.Varint(r.Node)
-			e.Varint(int64(r.Idx))
-			e.Varint(r.Nbr)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return rotItem{Node: d.Varint(), Idx: int32(d.Varint()), Nbr: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindEmbedFail, embedFail{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return embedFail{} })
-	congest.RegisterMessageCodec(msgKindLabelChunk, labelChunk{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			c := m.(labelChunk)
-			e.Int32s(c.Elems)
-			e.Bool(c.Last)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return labelChunk{Elems: d.Int32s(), Last: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindSampleChunk, &sampleChunk{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			c := m.(*sampleChunk)
-			e.Varint(c.Owner)
-			e.Varint(int64(c.EIdx))
-			e.Varint(int64(c.CIdx))
-			e.Bool(c.Last)
-			e.Int32s(c.Elems)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return &sampleChunk{
-				Owner: d.Varint(),
-				EIdx:  int32(d.Varint()),
-				CIdx:  int32(d.Varint()),
-				Last:  d.Bool(),
-				Elems: d.Int32s(),
-			}
-		})
+	type M = congest.Message
+	type C = congest.SnapCodec
+	congest.RegisterMessageCodec(msgKindAnnounce, announceMsg{}, func(c *C, m M) M {
+		a, _ := m.(announceMsg)
+		c.Varint(&a.PartRoot)
+		c.Varint(&a.ID)
+		return a
+	})
+	congest.RegisterMessageCodec(msgKindVal, valMsg{}, func(c *C, m M) M {
+		v, _ := m.(valMsg)
+		c.Varint(&v.V)
+		return v
+	})
+	congest.RegisterMessageCodec(msgKindNone, noneMsg{}, nil)
+	congest.RegisterMessageCodec(msgKindBFS, bfsMsg{}, func(c *C, m M) M {
+		b, _ := m.(bfsMsg)
+		c.Varint(&b.Level)
+		return b
+	})
+	congest.RegisterMessageCodec(msgKindChild, childMsg{}, nil)
+	congest.RegisterMessageCodec(msgKindLvl, lvlMsg{}, func(c *C, m M) M {
+		l, _ := m.(lvlMsg)
+		c.Varint(&l.Level)
+		return l
+	})
+	congest.RegisterMessageCodec(msgKindCounts, countsMsg{}, func(c *C, m M) M {
+		n, _ := m.(countsMsg)
+		c.Varint(&n.N)
+		c.Varint(&n.M)
+		c.Bool(&n.Reject)
+		return n
+	})
+	congest.RegisterMessageCodec(msgKindEdgeItem, edgeItem{}, func(c *C, m M) M {
+		e, _ := m.(edgeItem)
+		c.Varint(&e.A)
+		c.Varint(&e.B)
+		return e
+	})
+	congest.RegisterMessageCodec(msgKindRotItem, rotItem{}, func(c *C, m M) M {
+		r, _ := m.(rotItem)
+		c.Varint(&r.Node)
+		congest.SnapVarint(c, &r.Idx)
+		c.Varint(&r.Nbr)
+		return r
+	})
+	congest.RegisterMessageCodec(msgKindEmbedFail, embedFail{}, nil)
+	congest.RegisterMessageCodec(msgKindLabelChunk, labelChunk{}, func(c *C, m M) M {
+		l, _ := m.(labelChunk)
+		congest.SnapSlice(c, &l.Elems, congest.SnapVarint[int32])
+		c.Bool(&l.Last)
+		return l
+	})
+	congest.RegisterMessageCodec(msgKindSampleChunk, &sampleChunk{}, func(c *C, m M) M {
+		ch, _ := m.(*sampleChunk)
+		if ch == nil {
+			ch = new(sampleChunk)
+		}
+		c.Varint(&ch.Owner)
+		congest.SnapVarint(c, &ch.EIdx)
+		congest.SnapVarint(c, &ch.CIdx)
+		c.Bool(&ch.Last)
+		congest.SnapSlice(c, &ch.Elems, congest.SnapVarint[int32])
+		return ch
+	})
 	// edgeListMsg is never sent, but it can sit in a node's result
 	// register between dependent ops while the follow-up op is in flight,
 	// so it needs a codec like any parked state.
-	congest.RegisterMessageCodec(msgKindEdgeList, edgeListMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Msgs(m.(edgeListMsg).items) },
-		func(d *congest.SnapDecoder) congest.Message { return edgeListMsg{items: d.Msgs()} })
+	congest.RegisterMessageCodec(msgKindEdgeList, edgeListMsg{}, func(c *C, m M) M {
+		e, _ := m.(edgeListMsg)
+		congest.SnapSlice(c, &e.items, (*congest.SnapCodec).Msg)
+		return e
+	})
 }
 
-// encOutcome appends a partition.Outcome (each Stage II program carries
+// snapOutcome codes a partition.Outcome (each Stage II program carries
 // its own copy).
-func encOutcome(e *congest.SnapEncoder, o *partition.Outcome) {
-	e.Varint(o.RootID)
-	e.Tree(o.Tree)
-	e.Bool(o.Rejected)
-	e.Int(o.PhasesRun)
-	e.Bool(o.EarlyExit)
+func snapOutcome(c *congest.SnapCodec, o *partition.Outcome) {
+	c.Varint(&o.RootID)
+	c.Tree(&o.Tree)
+	c.Bool(&o.Rejected)
+	c.Int(&o.PhasesRun)
+	c.Bool(&o.EarlyExit)
 }
 
-func decOutcome(d *congest.SnapDecoder) *partition.Outcome {
-	return &partition.Outcome{
-		RootID:    d.Varint(),
-		Tree:      d.Tree(),
-		Rejected:  d.Bool(),
-		PhasesRun: d.Int(),
-		EarlyExit: d.Bool(),
-	}
-}
-
-// encLabels appends a nil-preserving [][]int32 (per-port labels).
-func encLabels(e *congest.SnapEncoder, ls []Label) {
-	if ls == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(ls)) + 1)
-	for _, l := range ls {
-		e.Int32s(l)
-	}
-}
-
-func decLabels(d *congest.SnapDecoder) []Label {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int() // force a sticky truncation error via a failed read
-		return nil
-	}
-	ls := make([]Label, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ls = append(ls, Label(d.Int32s()))
-	}
-	return ls
-}
-
-// encLabeledEdges appends a nil-preserving []LabeledEdge.
-func encLabeledEdges(e *congest.SnapEncoder, es []LabeledEdge) {
-	if es == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(es)) + 1)
-	for _, le := range es {
-		e.Int32s(le.U)
-		e.Int32s(le.V)
-	}
-}
-
-func decLabeledEdges(d *congest.SnapDecoder) []LabeledEdge {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int()
-		return nil
-	}
-	es := make([]LabeledEdge, 0, n)
-	for i := uint64(0); i < n; i++ {
-		es = append(es, LabeledEdge{U: Label(d.Int32s()), V: Label(d.Int32s())})
-	}
-	return es
+// snapLabel codes a nil-preserving label.
+func snapLabel(c *congest.SnapCodec, l *Label) {
+	congest.SnapSlice(c, l, congest.SnapVarint[int32])
 }
 
 // SnapshotKind implements congest.Snapshottable.
 func (c *PartCtxStep) SnapshotKind() uint16 { return SnapKindPartCtx }
 
-// EncodeState implements congest.Snapshottable. The done callback is not
+// SnapState implements congest.Snapshottable. The done callback is not
 // serialized; the restore entry point reinstalls the Stage II handoff
 // (the only callback the planar tester parks with — the minor-free
 // testers' continuations are not snapshottable).
-func (c *PartCtxStep) EncodeState(e *congest.SnapEncoder) {
-	encOutcome(e, c.part)
-	e.Int(int(c.pc))
-	e.Bool(c.inOp)
-	c.bd.EncodeState(e)
-	c.cv.EncodeState(e)
-	e.Msg(c.reg)
-	e.Int(c.budget)
-	e.Int(c.maxDepth)
-	e.Bools(c.intra)
-	e.Int64s(c.nbrID)
-	e.Int64s(c.nbrLvl)
-	e.Tree(c.tree)
-	e.Varint(c.level)
-	e.Ints(c.assigned)
-	e.Int(c.deadline)
-	e.Bool(c.adopted)
-	e.Int(c.parentPort)
-	e.Ints(c.childPorts)
+func (c *PartCtxStep) SnapState(sc *congest.SnapCodec) {
+	snapOutcome(sc, c.part)
+	congest.SnapVarint(sc, &c.pc)
+	sc.Bool(&c.inOp)
+	c.bd.SnapState(sc)
+	c.cv.SnapState(sc)
+	sc.Msg(&c.reg)
+	sc.Int(&c.budget)
+	sc.Int(&c.maxDepth)
+	congest.SnapSlice(sc, &c.intra, (*congest.SnapCodec).Bool)
+	congest.SnapSlice(sc, &c.nbrID, (*congest.SnapCodec).Varint)
+	congest.SnapSlice(sc, &c.nbrLvl, (*congest.SnapCodec).Varint)
+	sc.Tree(&c.tree)
+	sc.Varint(&c.level)
+	congest.SnapSlice(sc, &c.assigned, (*congest.SnapCodec).Int)
+	sc.Int(&c.deadline)
+	sc.Bool(&c.adopted)
+	sc.Int(&c.parentPort)
+	congest.SnapSlice(sc, &c.childPorts, (*congest.SnapCodec).Int)
 }
 
-// resumePartCtx mirrors EncodeState; opts parameterizes the reinstalled
-// Stage II handoff exactly as NewStageIINode would.
-func resumePartCtx(d *congest.SnapDecoder, opts StageIIOptions) (congest.StepProgram, error) {
+// resumePartCtx restores a part-context record; opts parameterizes the
+// reinstalled Stage II handoff exactly as NewStageIINode would.
+func resumePartCtx(sc *congest.SnapCodec, opts StageIIOptions) (congest.StepProgram, error) {
 	o := opts.withDefaults()
-	c := &PartCtxStep{restored: true}
-	c.part = decOutcome(d)
-	c.done = stageIIHandoff(c.part, o)
-	c.phase = o.partCtxPhase
-	c.pc = pcOp(d.Int())
-	c.inOp = d.Bool()
-	c.bd.DecodeState(d)
-	c.cv.DecodeState(d)
-	c.reg = d.Msg()
-	c.budget = d.Int()
-	c.maxDepth = d.Int()
-	c.intra = d.Bools()
-	c.nbrID = d.Int64s()
-	c.nbrLvl = d.Int64s()
-	c.tree = d.Tree()
-	c.level = d.Varint()
-	c.assigned = d.Ints()
-	c.deadline = d.Int()
-	c.adopted = d.Bool()
-	c.parentPort = d.Int()
-	c.childPorts = d.Ints()
-	if err := d.Err(); err != nil {
+	c := &PartCtxStep{part: new(partition.Outcome), restored: true, phase: o.partCtxPhase}
+	c.SnapState(sc)
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if c.pc > pcDone {
-		return nil, fmt.Errorf("core: part-context snapshot: pc %d out of range", c.pc)
+		return nil, fmt.Errorf("%w: part-context pc %d out of range", congest.ErrBadSnapshot, c.pc)
 	}
+	c.done = stageIIHandoff(c.part, o)
 	return c, nil
 }
 
@@ -299,106 +198,70 @@ func (c *PartCtxStep) reattach() {
 // SnapshotKind implements congest.Snapshottable.
 func (s *stage2Node) SnapshotKind() uint16 { return SnapKindStageII }
 
-// EncodeState implements congest.Snapshottable. Every mutable field is
-// encoded except the assigned non-tree cache (nonTree/haveNonTree), which
-// is a pure function of encoded fields and is recomputed on demand after
-// a restore.
-func (s *stage2Node) EncodeState(e *congest.SnapEncoder) {
-	encOutcome(e, s.part)
-	e.Uvarint(math.Float64bits(s.opts.Epsilon))
-	e.Uvarint(math.Float64bits(s.opts.SampleCoeff))
-	e.Int(int(s.opts.EmbedMode))
-	e.Bool(s.opts.StrictEmbedReject)
-	e.Int(int(s.pc))
-	e.Bool(s.inOp)
-	s.bd.EncodeState(e)
-	s.cv.EncodeState(e)
-	s.pu.EncodeState(e)
-	s.bid.EncodeState(e)
-	e.Msg(s.reg)
-	e.Int(s.budget)
-	e.Int(s.maxDepth)
-	e.Bools(s.intra)
-	e.Int64s(s.nbrID)
-	e.Int64s(s.nbrLvl)
-	e.Tree(s.tree)
-	e.Varint(s.level)
-	e.Ints(s.assigned)
-	e.Varint(s.partN)
-	e.Varint(s.partM)
-	e.Ints(s.rotPorts)
-	e.Int32s(s.label)
-	e.Int32s(s.edgePos)
-	encLabels(e, s.nbrLabels)
-	e.Int(s.deadline)
-	e.Int(s.per)
-	e.Int(s.chunks)
-	e.Int(s.ci)
-	e.Int32s(s.tails)
-	e.Int(s.tailLo)
-	e.Bool(s.streaming)
-	e.Bool(s.gotAll)
-	e.Ints(s.xPorts)
-	e.Bools(s.finished)
-	e.Int(s.capChunks)
-	e.Int(s.sBudget)
-	encLabeledEdges(e, s.samples)
-	e.Uvarint(uint64(s.verdict))
+// SnapState implements congest.Snapshottable. Every mutable field is
+// coded except the assigned non-tree cache (nonTree/haveNonTree), which
+// is a pure function of coded fields and is recomputed on demand after a
+// restore, and the obs phase IDs (see StageIIOptions).
+func (s *stage2Node) SnapState(c *congest.SnapCodec) {
+	snapOutcome(c, s.part)
+	c.Float64(&s.opts.Epsilon)
+	c.Float64(&s.opts.SampleCoeff)
+	congest.SnapVarint(c, &s.opts.EmbedMode)
+	c.Bool(&s.opts.StrictEmbedReject)
+	congest.SnapVarint(c, &s.pc)
+	c.Bool(&s.inOp)
+	s.bd.SnapState(c)
+	s.cv.SnapState(c)
+	s.pu.SnapState(c)
+	s.bid.SnapState(c)
+	c.Msg(&s.reg)
+	c.Int(&s.budget)
+	c.Int(&s.maxDepth)
+	congest.SnapSlice(c, &s.intra, (*congest.SnapCodec).Bool)
+	congest.SnapSlice(c, &s.nbrID, (*congest.SnapCodec).Varint)
+	congest.SnapSlice(c, &s.nbrLvl, (*congest.SnapCodec).Varint)
+	c.Tree(&s.tree)
+	c.Varint(&s.level)
+	congest.SnapSlice(c, &s.assigned, (*congest.SnapCodec).Int)
+	c.Varint(&s.partN)
+	c.Varint(&s.partM)
+	congest.SnapSlice(c, &s.rotPorts, (*congest.SnapCodec).Int)
+	snapLabel(c, &s.label)
+	congest.SnapSlice(c, &s.edgePos, congest.SnapVarint[int32])
+	congest.SnapSlice(c, &s.nbrLabels, snapLabel)
+	c.Int(&s.deadline)
+	c.Int(&s.per)
+	c.Int(&s.chunks)
+	c.Int(&s.ci)
+	congest.SnapSlice(c, &s.tails, congest.SnapVarint[int32])
+	c.Int(&s.tailLo)
+	c.Bool(&s.streaming)
+	c.Bool(&s.gotAll)
+	congest.SnapSlice(c, &s.xPorts, (*congest.SnapCodec).Int)
+	congest.SnapSlice(c, &s.finished, (*congest.SnapCodec).Bool)
+	c.Int(&s.capChunks)
+	c.Int(&s.sBudget)
+	congest.SnapSlice(c, &s.samples, func(c *congest.SnapCodec, e *LabeledEdge) {
+		snapLabel(c, &e.U)
+		snapLabel(c, &e.V)
+	})
+	congest.SnapUvarint(c, &s.verdict)
 }
 
-// resumeStage2 mirrors stage2Node.EncodeState. The caller's opts supply
-// only the obs phase IDs (deliberately not serialized — see StageIIOptions);
-// every algorithmic option is decoded from the snapshot itself.
-func resumeStage2(d *congest.SnapDecoder, opts StageIIOptions) (congest.StepProgram, error) {
-	s := &stage2Node{restored: true}
-	s.part = decOutcome(d)
-	s.opts.Epsilon = math.Float64frombits(d.Uvarint())
-	s.opts.SampleCoeff = math.Float64frombits(d.Uvarint())
-	s.opts.EmbedMode = planar.FallbackMode(d.Int())
-	s.opts.StrictEmbedReject = d.Bool()
-	s.opts.partCtxPhase = opts.partCtxPhase
-	s.opts.opsPhase = opts.opsPhase
-	s.pc = s2op(d.Int())
-	s.inOp = d.Bool()
-	s.bd.DecodeState(d)
-	s.cv.DecodeState(d)
-	s.pu.DecodeState(d)
-	s.bid.DecodeState(d)
-	s.reg = d.Msg()
-	s.budget = d.Int()
-	s.maxDepth = d.Int()
-	s.intra = d.Bools()
-	s.nbrID = d.Int64s()
-	s.nbrLvl = d.Int64s()
-	s.tree = d.Tree()
-	s.level = d.Varint()
-	s.assigned = d.Ints()
-	s.partN = d.Varint()
-	s.partM = d.Varint()
-	s.rotPorts = d.Ints()
-	s.label = d.Int32s()
-	s.edgePos = d.Int32s()
-	s.nbrLabels = decLabels(d)
-	s.deadline = d.Int()
-	s.per = d.Int()
-	s.chunks = d.Int()
-	s.ci = d.Int()
-	s.tails = d.Int32s()
-	s.tailLo = d.Int()
-	s.streaming = d.Bool()
-	s.gotAll = d.Bool()
-	s.xPorts = d.Ints()
-	s.finished = d.Bools()
-	s.capChunks = d.Int()
-	s.sBudget = d.Int()
-	s.samples = decLabeledEdges(d)
-	s.verdict = congest.Verdict(d.Uvarint())
-	if err := d.Err(); err != nil {
+// resumeStage2 restores a Stage II record. The caller's opts supply only
+// the obs phase IDs (deliberately not serialized — see StageIIOptions);
+// every algorithmic option is decoded from the record itself.
+func resumeStage2(c *congest.SnapCodec, opts StageIIOptions) (congest.StepProgram, error) {
+	s := &stage2Node{part: new(partition.Outcome), restored: true}
+	s.SnapState(c)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if s.pc > o2Finish {
-		return nil, fmt.Errorf("core: stage II snapshot: pc %d out of range", s.pc)
+		return nil, fmt.Errorf("%w: stage II pc %d out of range", congest.ErrBadSnapshot, s.pc)
 	}
+	s.opts.partCtxPhase = opts.partCtxPhase
+	s.opts.opsPhase = opts.opsPhase
 	return s, nil
 }
 
@@ -434,19 +297,24 @@ func ResumeTester(g *graph.Graph, opts Options, seed int64, data []byte) (*RunRe
 		return nil, fmt.Errorf("core: resume: %w: Elkin–Neiman runs are not snapshottable", congest.ErrNotSnapshottable)
 	}
 	plan := partition.NewStageIPlan(o.Partition, g.N())
-	res, err := congest.ResumeStep(testerConfig(g, seed, o), data,
-		func(node int, kind uint16, d *congest.SnapDecoder) (congest.StepProgram, error) {
-			switch kind {
-			case partition.SnapKindStageI:
-				return plan.ResumeNode(d, func(api *congest.StepAPI, po *partition.Outcome) congest.Status {
-					return congest.BecomeStep(NewStageIINode(po, o.StageII))
-				})
-			case SnapKindPartCtx:
-				return resumePartCtx(d, o.StageII)
-			case SnapKindStageII:
-				return resumeStage2(d, o.StageII)
-			}
-			return nil, fmt.Errorf("core: unknown program snapshot kind %d", kind)
-		})
+	res, err := congest.ResumeStep(testerConfig(g, seed, o), data, testerRestore(plan, o))
 	return newRunResult(res, err)
+}
+
+// testerRestore rebuilds the planar tester's programs (Stage I, part
+// context, Stage II) from their checkpoint records.
+func testerRestore(plan *partition.StageIPlan, o Options) congest.RestoreFunc {
+	return func(node int, kind uint16, c *congest.SnapCodec) (congest.StepProgram, error) {
+		switch kind {
+		case partition.SnapKindStageI:
+			return plan.ResumeNode(c, func(api *congest.StepAPI, po *partition.Outcome) congest.Status {
+				return congest.BecomeStep(NewStageIINode(po, o.StageII))
+			})
+		case SnapKindPartCtx:
+			return resumePartCtx(c, o.StageII)
+		case SnapKindStageII:
+			return resumeStage2(c, o.StageII)
+		}
+		return nil, fmt.Errorf("%w: unknown program snapshot kind %d", congest.ErrBadSnapshot, kind)
+	}
 }

@@ -44,370 +44,228 @@ const (
 )
 
 func init() {
-	congest.RegisterMessageCodec(msgKindNone, noneMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return noneMsg{} })
-	congest.RegisterMessageCodec(msgKindVal, valMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(valMsg).V) },
-		func(d *congest.SnapDecoder) congest.Message { return vmsg(d.Varint()) })
-	congest.RegisterMessageCodec(msgKindPair, pairMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			p := m.(pairMsg)
-			e.Varint(p.A)
-			e.Varint(p.B)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			p := pairMsg{A: d.Varint(), B: d.Varint()}
-			if p == (pairMsg{}) {
-				return zeroPair
-			}
-			return p
+	type M = congest.Message
+	type C = congest.SnapCodec
+	congest.RegisterMessageCodec(msgKindNone, noneMsg{}, nil)
+	congest.RegisterMessageCodec(msgKindVal, valMsg{}, func(c *C, m M) M {
+		v, _ := m.(valMsg)
+		c.Varint(&v.V)
+		return vmsg(v.V)
+	})
+	congest.RegisterMessageCodec(msgKindPair, pairMsg{}, func(c *C, m M) M {
+		p, _ := m.(pairMsg)
+		p.snap(c)
+		if p == (pairMsg{}) {
+			return zeroPair
+		}
+		return p
+	})
+	congest.RegisterMessageCodec(msgKindRootAnnounce, rootAnnounce{}, func(c *C, m M) M {
+		r, _ := m.(rootAnnounce)
+		c.Varint(&r.Root)
+		return r
+	})
+	congest.RegisterMessageCodec(msgKindStatus, statusMsg{}, func(c *C, m M) M {
+		st, _ := m.(statusMsg)
+		st.snap(c)
+		return smsg(st.Active, st.Watch)
+	})
+	congest.RegisterMessageCodec(msgKindActivity, activityMsg{}, func(c *C, m M) M {
+		a, _ := m.(activityMsg)
+		c.Varint(&a.Root)
+		c.Bool(&a.Active)
+		return a
+	})
+	congest.RegisterMessageCodec(msgKindDecompAgg, decompAgg{}, func(c *C, m M) M {
+		a, _ := m.(decompAgg)
+		c.Bool(&a.TooMany)
+		congest.SnapSlice(c, &a.Entries, snapRootWeight)
+		congest.SnapSlice(c, &a.Watch, func(c *C, f *rootFlag) {
+			c.Varint(&f.Root)
+			c.Bool(&f.Active)
 		})
-	congest.RegisterMessageCodec(msgKindRootAnnounce, rootAnnounce{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(rootAnnounce).Root) },
-		func(d *congest.SnapDecoder) congest.Message { return rootAnnounce{Root: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindStatus, statusMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			s := m.(statusMsg)
-			e.Bool(s.Active)
-			e.Int64s(s.Watch)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			active := d.Bool()
-			return smsg(active, d.Int64s())
-		})
-	congest.RegisterMessageCodec(msgKindActivity, activityMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			a := m.(activityMsg)
-			e.Varint(a.Root)
-			e.Bool(a.Active)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return activityMsg{Root: d.Varint(), Active: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindDecompAgg, decompAgg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			a := m.(decompAgg)
-			e.Bool(a.TooMany)
-			encRootWeights(e, a.Entries)
-			encRootFlags(e, a.Watch)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			a := decompAgg{TooMany: d.Bool()}
-			a.Entries = decRootWeights(d)
-			a.Watch = decRootFlags(d)
-			if !a.TooMany && a.Entries == nil && a.Watch == nil {
-				return emptyDecomp
-			}
-			return a
-		})
-	congest.RegisterMessageCodec(msgKindSel, selMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			s := m.(selMsg)
-			e.Varint(s.Target)
-			e.Varint(s.Weight)
-			e.Bool(s.HasOut)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return selMsg{Target: d.Varint(), Weight: d.Varint(), HasOut: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindFSelect, fSelect{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(fSelect).ChildRoot) },
-		func(d *congest.SnapDecoder) congest.Message { return fSelect{ChildRoot: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindReport, reportMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			r := m.(reportMsg)
-			e.Varint(r.Color)
-			e.Varint(r.Weight)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return reportMsg{Color: d.Varint(), Weight: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindChildReport, childReport{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			r := m.(childReport)
-			e.Varint(r.Color)
-			e.Varint(r.Weight)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return childReport{Color: d.Varint(), Weight: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindColorSums, colorSums{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			c := m.(colorSums)
-			for _, w := range c.W {
-				e.Varint(w)
-			}
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			var c colorSums
-			for i := range c.W {
-				c.W[i] = d.Varint()
-			}
-			if c == (colorSums{}) {
-				return zeroColorSums
-			}
-			return c
-		})
-	congest.RegisterMessageCodec(msgKindMark, markMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			mk := m.(markMsg)
-			e.Bool(mk.MarkOut)
-			e.Int(int(mk.InClass))
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return markMsg{MarkOut: d.Bool(), InClass: int8(d.Int())}
-		})
-	congest.RegisterMessageCodec(msgKindEdgeMarked, edgeMarked{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return edgeMarked{} })
-	congest.RegisterMessageCodec(msgKindAttach, attachMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return attachMsg{} })
-	congest.RegisterMessageCodec(msgKindFlip, flipMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return flipMsg{} })
-	congest.RegisterMessageCodec(msgKindTrial, trialMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			t := m.(trialMsg)
-			e.Varint(t.NodeID)
-			e.Varint(t.Target)
-			e.Varint(t.Degree)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return trialMsg{NodeID: d.Varint(), Target: d.Varint(), Degree: d.Varint()}
-		})
+		if !a.TooMany && a.Entries == nil && a.Watch == nil {
+			return emptyDecomp
+		}
+		return a
+	})
+	congest.RegisterMessageCodec(msgKindSel, selMsg{}, func(c *C, m M) M {
+		sel, _ := m.(selMsg)
+		sel.snap(c)
+		return sel
+	})
+	congest.RegisterMessageCodec(msgKindFSelect, fSelect{}, func(c *C, m M) M {
+		f, _ := m.(fSelect)
+		c.Varint(&f.ChildRoot)
+		return f
+	})
+	congest.RegisterMessageCodec(msgKindReport, reportMsg{}, func(c *C, m M) M {
+		r, _ := m.(reportMsg)
+		c.Varint(&r.Color)
+		c.Varint(&r.Weight)
+		return r
+	})
+	congest.RegisterMessageCodec(msgKindChildReport, childReport{}, func(c *C, m M) M {
+		r, _ := m.(childReport)
+		c.Varint(&r.Color)
+		c.Varint(&r.Weight)
+		return r
+	})
+	congest.RegisterMessageCodec(msgKindColorSums, colorSums{}, func(c *C, m M) M {
+		cs, _ := m.(colorSums)
+		cs.snap(c)
+		if cs == (colorSums{}) {
+			return zeroColorSums
+		}
+		return cs
+	})
+	congest.RegisterMessageCodec(msgKindMark, markMsg{}, func(c *C, m M) M {
+		mk, _ := m.(markMsg)
+		mk.snap(c)
+		return mk
+	})
+	congest.RegisterMessageCodec(msgKindEdgeMarked, edgeMarked{}, nil)
+	congest.RegisterMessageCodec(msgKindAttach, attachMsg{}, nil)
+	congest.RegisterMessageCodec(msgKindFlip, flipMsg{}, nil)
+	congest.RegisterMessageCodec(msgKindTrial, trialMsg{}, func(c *C, m M) M {
+		t, _ := m.(trialMsg)
+		c.Varint(&t.NodeID)
+		c.Varint(&t.Target)
+		c.Varint(&t.Degree)
+		return t
+	})
 }
 
-// encRootWeights appends a nil-preserving []rootWeight encoding.
-func encRootWeights(e *congest.SnapEncoder, vs []rootWeight) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v.Root)
-		e.Varint(v.Weight)
+// The field codecs below are shared by message codecs and stageINode
+// records, which embed these values directly.
+
+func (p *pairMsg) snap(c *congest.SnapCodec) {
+	c.Varint(&p.A)
+	c.Varint(&p.B)
+}
+
+func (s *statusMsg) snap(c *congest.SnapCodec) {
+	c.Bool(&s.Active)
+	congest.SnapSlice(c, &s.Watch, (*congest.SnapCodec).Varint)
+}
+
+func (s *selMsg) snap(c *congest.SnapCodec) {
+	c.Varint(&s.Target)
+	c.Varint(&s.Weight)
+	c.Bool(&s.HasOut)
+}
+
+func (cs *colorSums) snap(c *congest.SnapCodec) {
+	for i := range cs.W {
+		c.Varint(&cs.W[i])
 	}
 }
 
-func decRootWeights(d *congest.SnapDecoder) []rootWeight {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int() // force a sticky truncation error via a failed read
-		return nil
-	}
-	vs := make([]rootWeight, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vs = append(vs, rootWeight{Root: d.Varint(), Weight: d.Varint()})
-	}
-	return vs
+func (mk *markMsg) snap(c *congest.SnapCodec) {
+	c.Bool(&mk.MarkOut)
+	congest.SnapVarint(c, &mk.InClass)
 }
 
-// encRootFlags appends a nil-preserving []rootFlag encoding.
-func encRootFlags(e *congest.SnapEncoder, vs []rootFlag) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v.Root)
-		e.Bool(v.Active)
-	}
-}
-
-func decRootFlags(d *congest.SnapDecoder) []rootFlag {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int()
-		return nil
-	}
-	vs := make([]rootFlag, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vs = append(vs, rootFlag{Root: d.Varint(), Active: d.Bool()})
-	}
-	return vs
+func snapRootWeight(c *congest.SnapCodec, w *rootWeight) {
+	c.Varint(&w.Root)
+	c.Varint(&w.Weight)
 }
 
 // SnapshotKind implements congest.Snapshottable.
 func (s *stageINode) SnapshotKind() uint16 { return SnapKindStageI }
 
-// EncodeState implements congest.Snapshottable. Field order is the
-// declaration order of stageINode; ResumeNode mirrors it exactly.
-func (s *stageINode) EncodeState(e *congest.SnapEncoder) {
-	e.Bool(s.started)
-	e.Bool(s.finished)
-	e.Int(s.phase)
-	e.Int(s.pc)
-	e.Bool(s.inOp)
-	e.Int(s.D)
-	e.Int(s.phasesRun)
-	e.Bool(s.earlyExit)
-	s.bd.EncodeState(e)
-	s.cv.EncodeState(e)
-	e.Varint(s.rootID)
-	e.Tree(s.tree)
-	e.Bool(s.rejected)
-	e.Int64s(s.nbrRoot)
-	e.Bools(s.cross)
-	e.Bool(s.isU)
-	e.Int(s.uPort)
-	e.Bools(s.fChild)
-	e.Int64s(s.fChildColor)
-	e.Int64s(s.fChildWt)
-	e.Bools(s.fChildMark)
-	e.Bool(s.partHasOut)
-	e.Varint(s.partTarget)
-	e.Varint(s.partWeight)
-	e.Bool(s.partMutual)
-	e.Varint(s.partColor)
-	e.Varint(s.partPreShift)
-	e.Bool(s.partHasKids)
-	e.Bool(s.partOutMkd)
-	e.Bool(s.partInT)
-	e.Int(s.partLevel)
-	e.Bool(s.partContract)
-	e.Bool(s.fdActive)
-	e.Bool(s.fdResolved)
-	e.Int64s(s.watch)
-	encRootWeights(e, s.pending)
-	encRootWeights(e, s.outs)
-	e.Bools(s.actPort)
-	e.Bools(s.actSeen)
-	e.Bool(s.stStatus.Active)
-	e.Int64s(s.stStatus.Watch)
-	e.Bool(s.fdJoined)
-	e.Bool(s.fdDirty)
-	e.Uvarint(s.fdCleanMask)
-	e.Bool(s.fdFF)
-	e.Bool(s.cascFF)
-	e.Int(s.fdFFUntil)
-	e.Varint(s.bestW)
-	e.Varint(s.bestTarget)
-	e.Msg(s.opMsg)
-	e.Msg(s.crossGot)
-	e.Varint(s.crossPair.A)
-	e.Varint(s.crossPair.B)
-	e.Varint(s.gotSel.Target)
-	e.Varint(s.gotSel.Weight)
-	e.Bool(s.gotSel.HasOut)
-	e.Msg(s.cvRes)
-	e.Varint(s.dropDec)
-	e.Varint(s.mbParent)
-	e.Bool(s.mkDec.MarkOut)
-	e.Int(int(s.mkDec.InClass))
-	e.Varint(s.mkPC)
-	e.Bool(s.mkPCOK)
-	for _, w := range s.sums.W {
-		e.Varint(w)
-	}
-	e.Varint(s.acc.A)
-	e.Varint(s.acc.B)
-	e.Varint(s.parity)
-	e.Varint(s.newRoot)
-	e.Bool(s.merging)
-	e.Bool(s.flipped)
-	e.Int(s.deadline)
+// SnapState implements congest.Snapshottable. The field order is the
+// record layout of the checkpoint format.
+func (s *stageINode) SnapState(c *congest.SnapCodec) {
+	varints := (*congest.SnapCodec).Varint
+	bools := (*congest.SnapCodec).Bool
+	c.Bool(&s.started)
+	c.Bool(&s.finished)
+	c.Int(&s.phase)
+	c.Int(&s.pc)
+	c.Bool(&s.inOp)
+	c.Int(&s.D)
+	c.Int(&s.phasesRun)
+	c.Bool(&s.earlyExit)
+	s.bd.SnapState(c)
+	s.cv.SnapState(c)
+	c.Varint(&s.rootID)
+	c.Tree(&s.tree)
+	c.Bool(&s.rejected)
+	congest.SnapSlice(c, &s.nbrRoot, varints)
+	congest.SnapSlice(c, &s.cross, bools)
+	c.Bool(&s.isU)
+	c.Int(&s.uPort)
+	congest.SnapSlice(c, &s.fChild, bools)
+	congest.SnapSlice(c, &s.fChildColor, varints)
+	congest.SnapSlice(c, &s.fChildWt, varints)
+	congest.SnapSlice(c, &s.fChildMark, bools)
+	c.Bool(&s.partHasOut)
+	c.Varint(&s.partTarget)
+	c.Varint(&s.partWeight)
+	c.Bool(&s.partMutual)
+	c.Varint(&s.partColor)
+	c.Varint(&s.partPreShift)
+	c.Bool(&s.partHasKids)
+	c.Bool(&s.partOutMkd)
+	c.Bool(&s.partInT)
+	c.Int(&s.partLevel)
+	c.Bool(&s.partContract)
+	c.Bool(&s.fdActive)
+	c.Bool(&s.fdResolved)
+	congest.SnapSlice(c, &s.watch, varints)
+	congest.SnapSlice(c, &s.pending, snapRootWeight)
+	congest.SnapSlice(c, &s.outs, snapRootWeight)
+	congest.SnapSlice(c, &s.actPort, bools)
+	congest.SnapSlice(c, &s.actSeen, bools)
+	s.stStatus.snap(c)
+	c.Bool(&s.fdJoined)
+	c.Bool(&s.fdDirty)
+	c.Uvarint(&s.fdCleanMask)
+	c.Bool(&s.fdFF)
+	c.Bool(&s.cascFF)
+	c.Int(&s.fdFFUntil)
+	c.Varint(&s.bestW)
+	c.Varint(&s.bestTarget)
+	c.Msg(&s.opMsg)
+	c.Msg(&s.crossGot)
+	s.crossPair.snap(c)
+	s.gotSel.snap(c)
+	c.Msg(&s.cvRes)
+	c.Varint(&s.dropDec)
+	c.Varint(&s.mbParent)
+	s.mkDec.snap(c)
+	c.Varint(&s.mkPC)
+	c.Bool(&s.mkPCOK)
+	s.sums.snap(c)
+	s.acc.snap(c)
+	c.Varint(&s.parity)
+	c.Varint(&s.newRoot)
+	c.Bool(&s.merging)
+	c.Bool(&s.flipped)
+	c.Int(&s.deadline)
 }
 
 // ResumeNode reconstructs one node's Stage I program from a checkpoint
-// record written by EncodeState. The plan must be compiled from the same
+// record written by SnapState. The plan must be compiled from the same
 // Options and n as the checkpointed run; onDone plays the role it has in
 // NewNode. The returned program reinstalls its function-typed state
-// (convergecast combiners) on its first Step.
-func (pl *StageIPlan) ResumeNode(d *congest.SnapDecoder, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
+// (convergecast combiners) on its first Step. A record that decodes but
+// is out of range for the plan fails with congest.ErrBadSnapshot.
+func (pl *StageIPlan) ResumeNode(c *congest.SnapCodec, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
 	s := pl.allocNode()
 	s.plan = pl
 	s.onDone = onDone
 	s.restored = true
-	s.started = d.Bool()
-	s.finished = d.Bool()
-	s.phase = d.Int()
-	s.pc = d.Int()
-	s.inOp = d.Bool()
-	s.D = d.Int()
-	s.phasesRun = d.Int()
-	s.earlyExit = d.Bool()
-	s.bd.DecodeState(d)
-	s.cv.DecodeState(d)
-	s.rootID = d.Varint()
-	s.tree = d.Tree()
-	s.rejected = d.Bool()
-	s.nbrRoot = d.Int64s()
-	s.cross = d.Bools()
-	s.isU = d.Bool()
-	s.uPort = d.Int()
-	s.fChild = d.Bools()
-	s.fChildColor = d.Int64s()
-	s.fChildWt = d.Int64s()
-	s.fChildMark = d.Bools()
-	s.partHasOut = d.Bool()
-	s.partTarget = d.Varint()
-	s.partWeight = d.Varint()
-	s.partMutual = d.Bool()
-	s.partColor = d.Varint()
-	s.partPreShift = d.Varint()
-	s.partHasKids = d.Bool()
-	s.partOutMkd = d.Bool()
-	s.partInT = d.Bool()
-	s.partLevel = d.Int()
-	s.partContract = d.Bool()
-	s.fdActive = d.Bool()
-	s.fdResolved = d.Bool()
-	s.watch = d.Int64s()
-	s.pending = decRootWeights(d)
-	s.outs = decRootWeights(d)
-	s.actPort = d.Bools()
-	s.actSeen = d.Bools()
-	s.stStatus.Active = d.Bool()
-	s.stStatus.Watch = d.Int64s()
-	s.fdJoined = d.Bool()
-	s.fdDirty = d.Bool()
-	s.fdCleanMask = d.Uvarint()
-	s.fdFF = d.Bool()
-	s.cascFF = d.Bool()
-	s.fdFFUntil = d.Int()
-	s.bestW = d.Varint()
-	s.bestTarget = d.Varint()
-	s.opMsg = d.Msg()
-	s.crossGot = d.Msg()
-	s.crossPair.A = d.Varint()
-	s.crossPair.B = d.Varint()
-	s.gotSel.Target = d.Varint()
-	s.gotSel.Weight = d.Varint()
-	s.gotSel.HasOut = d.Bool()
-	s.cvRes = d.Msg()
-	s.dropDec = d.Varint()
-	s.mbParent = d.Varint()
-	s.mkDec.MarkOut = d.Bool()
-	s.mkDec.InClass = int8(d.Int())
-	s.mkPC = d.Varint()
-	s.mkPCOK = d.Bool()
-	for i := range s.sums.W {
-		s.sums.W[i] = d.Varint()
-	}
-	s.acc.A = d.Varint()
-	s.acc.B = d.Varint()
-	s.parity = d.Varint()
-	s.newRoot = d.Varint()
-	s.merging = d.Bool()
-	s.flipped = d.Bool()
-	s.deadline = d.Int()
-	if err := d.Err(); err != nil {
+	s.SnapState(c)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if !s.finished && (s.pc < 0 || s.pc >= len(pl.ops)) {
-		return nil, fmt.Errorf("partition: stage I snapshot: pc %d out of range [0,%d)", s.pc, len(pl.ops))
+	if s.pc < 0 || s.pc >= len(pl.ops) {
+		return nil, fmt.Errorf("%w: stage I pc %d out of range [0,%d)", congest.ErrBadSnapshot, s.pc, len(pl.ops))
+	}
+	if !s.finished && (s.phase < 1 || s.phase > pl.phases) {
+		return nil, fmt.Errorf("%w: stage I phase %d out of range [1,%d]", congest.ErrBadSnapshot, s.phase, pl.phases)
 	}
 	// The plan's batching counters (fdParticipants/fdStable) are single-run
 	// state, so the resumed run's fresh plan rebuilds them here from the
@@ -428,7 +286,7 @@ func (pl *StageIPlan) ResumeNode(d *congest.SnapDecoder, onDone func(api *conges
 	// exactly the tally writes its history performed this phase — level 0
 	// and its parity are assigned in the hop-0 entry glue, level L >= 1
 	// (and its parity) during hop L-1 of the respective cascade.
-	if !s.finished && s.phase >= 1 && s.tree.ParentPort == -1 {
+	if !s.finished && s.tree.ParentPort == -1 {
 		p := s.phase - 1
 		if s.partInT {
 			pl.cascInT[p]++
@@ -449,48 +307,15 @@ func (pl *StageIPlan) ResumeNode(d *congest.SnapDecoder, onDone func(api *conges
 }
 
 // reattach reinstalls the function-typed fields that a checkpoint cannot
-// carry: the two closure combiners from initNode and, when a convergecast
+// carry: the two closure combiners (initCombiners) and, when a convergecast
 // op is in flight, the op's combiner on the tree machine. Broadcast ops
 // never carry a transform in Stage I (Begin is always called with nil),
 // so bd needs no repair.
 func (s *stageINode) reattach(api *congest.StepAPI) {
-	s.fdCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return s.mergeFD(own.(decompAgg), children)
-	}
-	s.trialCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return combineTrial(api.Rand(), own, children)
-	}
+	s.initCombiners(api)
 	if s.inOp {
 		if op := &s.plan.ops[s.pc]; op.kind == sCvg {
 			s.cv.SetCombine(s.cvgCombine(op))
 		}
 	}
-}
-
-// cvgCombine returns the combiner prepCvg would pick for op — the
-// reinstall table for restored in-flight convergecasts. Kept next to
-// reattach so a new sCvg tag that forgets to extend it fails loudly.
-func (s *stageINode) cvgCombine(op *sOp) func(congest.Message, []congest.Message) congest.Message {
-	if op.ff {
-		return combineFirst
-	}
-	switch op.tag {
-	case tHasCross, tMutual, tByParent, tAnyKid:
-		return combineOr
-	case tFDAgg:
-		return s.fdCombine
-	case tTrialPick:
-		return s.trialCombine
-	case tTrialWeight, tKids:
-		return combineSum
-	case tCand:
-		return combineMin
-	case tColorSums:
-		return combineColorSums
-	case tLvlUp, tDecUp:
-		return combineFirst
-	case tParUp:
-		return combinePairSum
-	}
-	panic("partition: unknown cvg tag")
 }

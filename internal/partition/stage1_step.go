@@ -494,8 +494,7 @@ func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 
 		case sCvg:
 			if !s.inOp {
-				own, combine := s.prepCvg(api, op)
-				if !s.cv.Begin(api, s.tree, api.Round()+s.D, own, combine) {
+				if !s.cv.Begin(api, s.tree, api.Round()+s.D, s.prepCvg(api, op), s.cvgCombine(op)) {
 					s.inOp = true
 					return s.cv.Wake()
 				}
@@ -554,6 +553,12 @@ func (s *stageINode) initNode(api *congest.StepAPI) {
 	s.fChildMark = make([]bool, deg)
 	s.actPort = make([]bool, deg)
 	s.actSeen = make([]bool, deg)
+	s.initCombiners(api)
+}
+
+// initCombiners creates the node's two closure combiners; a restored
+// node recreates them in reattach.
+func (s *stageINode) initCombiners(api *congest.StepAPI) {
 	s.fdCombine = func(own congest.Message, children []congest.Message) congest.Message {
 		return s.mergeFD(own.(decompAgg), children)
 	}
@@ -814,11 +819,10 @@ func (s *stageINode) absorbBcast(api *congest.StepAPI, op *sOp, got congest.Mess
 	}
 }
 
-// prepCvg returns this node's contribution and the combiner for a
-// convergecast op.
-func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, func(congest.Message, []congest.Message) congest.Message) {
+// prepCvg returns this node's contribution to a convergecast op.
+func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) congest.Message {
 	if op.ff {
-		return s.crossGot, combineFirst
+		return s.crossGot
 	}
 	switch op.tag {
 	case tHasCross:
@@ -828,7 +832,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				has = 1
 			}
 		}
-		return vmsg(has), combineOr
+		return vmsg(has)
 	case tFDAgg:
 		own := decompAgg{}
 		s.ownEntries = s.ownEntries[:0]
@@ -862,9 +866,9 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 		}
 		own.Watch = s.ownWatch
 		if len(own.Entries) == 0 && len(own.Watch) == 0 {
-			return emptyDecomp, s.fdCombine // interior nodes: no boxing
+			return emptyDecomp // interior nodes: no boxing
 		}
-		return own, s.fdCombine
+		return own
 	case tTrialPick:
 		// Trial step (1): each node draws a uniform incident cut edge;
 		// the convergecast performs the weighted reservoir pick
@@ -882,9 +886,9 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				NodeID: api.ID(),
 				Target: s.nbrRoot[p],
 				Degree: int64(len(s.crossScratch)),
-			}, s.trialCombine
+			}
 		}
-		return noneMsg{}, s.trialCombine
+		return noneMsg{}
 	case tTrialWeight:
 		// Step (3): count this node's edges into the announced target.
 		cnt := int64(0)
@@ -895,16 +899,16 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				}
 			}
 		}
-		return vmsg(cnt), combineSum
+		return vmsg(cnt)
 	case tCand:
 		if s.gotSel.HasOut {
 			for p, c := range s.cross {
 				if c && s.nbrRoot[p] == s.gotSel.Target {
-					return vmsg(api.ID()), combineMin
+					return vmsg(api.ID())
 				}
 			}
 		}
-		return noneMsg{}, combineMin
+		return noneMsg{}
 	case tMutual:
 		var mutual int64
 		for p, f := range s.fChild {
@@ -912,7 +916,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				mutual = 1
 			}
 		}
-		return vmsg(mutual), combineOr
+		return vmsg(mutual)
 	case tKids:
 		var kids int64
 		for _, f := range s.fChild {
@@ -920,7 +924,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				kids++
 			}
 		}
-		return vmsg(kids), combineSum
+		return vmsg(kids)
 	case tColorSums:
 		own := colorSums{}
 		for p, f := range s.fChild {
@@ -933,22 +937,50 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 			}
 		}
 		if own == (colorSums{}) {
-			return zeroColorSums, combineColorSums
+			return zeroColorSums
 		}
-		return own, combineColorSums
+		return own
 	case tByParent:
-		return vmsg(s.mbParent), combineOr
+		return vmsg(s.mbParent)
 	case tAnyKid:
 		var has int64
 		s.eachMarkedChild(func(int) { has = 1 })
-		return vmsg(has), combineOr
+		return vmsg(has)
 	case tLvlUp, tDecUp:
-		return s.crossGot, combineFirst
+		return s.crossGot
 	case tParUp:
 		if s.crossPair == (pairMsg{}) {
-			return zeroPair, combinePairSum
+			return zeroPair
 		}
-		return s.crossPair, combinePairSum
+		return s.crossPair
+	}
+	panic("partition: unknown cvg tag")
+}
+
+// cvgCombine returns the combiner of a convergecast op: Begin takes it
+// when the op starts, and reattach reinstalls it on a restored in-flight
+// convergecast.
+func (s *stageINode) cvgCombine(op *sOp) func(congest.Message, []congest.Message) congest.Message {
+	if op.ff {
+		return combineFirst
+	}
+	switch op.tag {
+	case tHasCross, tMutual, tByParent, tAnyKid:
+		return combineOr
+	case tFDAgg:
+		return s.fdCombine
+	case tTrialPick:
+		return s.trialCombine
+	case tTrialWeight, tKids:
+		return combineSum
+	case tCand:
+		return combineMin
+	case tColorSums:
+		return combineColorSums
+	case tLvlUp, tDecUp:
+		return combineFirst
+	case tParUp:
+		return combinePairSum
 	}
 	panic("partition: unknown cvg tag")
 }

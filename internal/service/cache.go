@@ -7,24 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// CacheStore is the result-cache abstraction the Manager runs against:
-// a content-addressed map from request keys to finished Outcomes.
-// Because every run is deterministic in its key (the engine is a pure
-// function of graph, options, and seed; see DESIGN.md §7), a hit can
-// skip the whole CONGEST simulation and replay the stored outcome.
-// Implementations must be safe for concurrent use, and stored outcomes
-// must never be mutated after Put.
-type CacheStore interface {
-	// Get returns the cached outcome for key, if present.
-	Get(key string) (*Outcome, bool)
-	// Put stores a finished outcome under key.
-	Put(key string, o *Outcome)
-	// Len returns the number of live entries.
-	Len() int
-	// Bytes returns the accounted size of the live entries.
-	Bytes() int64
-}
-
 // resultCache is the in-memory tier: a thread-safe LRU bounded both by
 // entry count and by accounted outcome bytes (the size of the entry's
 // canonical JSON encoding — the same bytes the disk tier persists), so
@@ -117,10 +99,15 @@ func (c *resultCache) size() int64 {
 	return c.bytes
 }
 
-// tieredCache is the Manager's CacheStore: a write-through pair of the
-// in-memory LRU and an optional disk tier. Reads try memory first and
-// promote disk hits; writes land in both, so a restart only loses the
-// memory tier and the disk tier restores the hit rate (DESIGN.md §11).
+// tieredCache is the Manager's result cache: a content-addressed map from
+// request keys to finished Outcomes. Because every run is deterministic
+// in its key (the engine is a pure function of graph, options, and seed;
+// see DESIGN.md §7), a hit can skip the whole CONGEST simulation and
+// replay the stored outcome. It is a write-through pair of the in-memory
+// LRU and an optional disk tier: reads try memory first and promote disk
+// hits; writes land in both, so a restart only loses the memory tier and
+// the disk tier restores the hit rate (DESIGN.md §11). It is safe for
+// concurrent use, and stored outcomes must never be mutated after Put.
 type tieredCache struct {
 	mem      *resultCache
 	disk     *diskCache // nil when no cache directory is configured
@@ -131,8 +118,8 @@ func newTieredCache(mem *resultCache, disk *diskCache, diskHits *atomic.Int64) *
 	return &tieredCache{mem: mem, disk: disk, diskHits: diskHits}
 }
 
-// Get implements CacheStore: memory first, then the disk tier (a disk
-// hit is decoded, promoted into memory, and counted).
+// Get returns the cached outcome for key: memory first, then the disk
+// tier (a disk hit is decoded, promoted into memory, and counted).
 func (c *tieredCache) Get(key string) (*Outcome, bool) {
 	if o, ok := c.mem.get(key); ok {
 		return o, true
@@ -149,9 +136,9 @@ func (c *tieredCache) Get(key string) (*Outcome, bool) {
 	return o, true
 }
 
-// Put implements CacheStore: the outcome is serialized once (the JSON
-// bytes double as the memory tier's accounting unit and the disk tier's
-// payload) and written through both tiers.
+// Put stores a finished outcome under key. The outcome is serialized
+// once (the JSON bytes double as the memory tier's accounting unit and
+// the disk tier's payload) and written through both tiers.
 func (c *tieredCache) Put(key string, o *Outcome) {
 	blob, err := json.Marshal(o)
 	if err != nil {
@@ -163,8 +150,8 @@ func (c *tieredCache) Put(key string, o *Outcome) {
 	}
 }
 
-// Len implements CacheStore with the in-memory entry count.
+// Len returns the in-memory entry count.
 func (c *tieredCache) Len() int { return c.mem.len() }
 
-// Bytes implements CacheStore with the in-memory accounted bytes.
+// Bytes returns the in-memory accounted bytes.
 func (c *tieredCache) Bytes() int64 { return c.mem.size() }
